@@ -61,8 +61,8 @@ from .simulator import (
     Verdict,
     equilibrium_populations,
     final_populations,
-    is_unitary,
     pulse_unitary,
+    sequence_product,
     sequence_unitary,
     serialize_spectrum,
     stick_spectrum,

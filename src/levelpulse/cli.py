@@ -34,7 +34,7 @@ from .permutation import (
 )
 from .labeler import RelabelError
 from .synthesizer import SynthesisError
-from .topology import QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE, build_topology
+from .topology import QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE, Topology, build_topology
 
 __all__ = ["RunConfig", "main"]
 
@@ -42,9 +42,6 @@ TOPOLOGY_ALIASES = {
     "chain": QUADRUPOLAR_CHAIN,
     "hypercube": SPIN_HALF_HYPERCUBE,
 }
-
-CHAIN_SCHEMES = ("ols", "cl", "gray")
-HYPERCUBE_SCHEMES = ("pairswap", "parallel", "cl")
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -76,27 +73,39 @@ class CliError(Exception):
         self.code = code
 
 
-def _resolve_operations(cfg: RunConfig) -> tuple[Permutation, str]:
-    """Compose the operation tokens left to right into one permutation."""
+def _resolve_operations(cfg: RunConfig) -> tuple[Permutation, str, Topology]:
+    """Compose the operation tokens left to right into one permutation.
+
+    Also builds the topology for the inferred qubit count, so a count
+    out of range is refused before any operation is built.
+    """
     if not cfg.operations:
         raise CliError("no operation given", EXIT_FORMAT)
     n = cfg.qubits
+    tables: dict[str, Permutation] = {}
     for token in cfg.operations:
         if os.path.exists(token):
             with open(token, encoding="utf-8") as fh:
-                n = n or parse_truth_table(fh.read()).n_qubits
+                tables[token] = parse_truth_table(fh.read())
+            n = n or tables[token].n_qubits
         elif token == "fulladder4":
             n = n or 4
         elif token.startswith("identity:"):
-            n = n or int(token.split(":", 1)[1])
+            try:
+                n = n or int(token.split(":", 1)[1])
+            except ValueError:
+                raise CliError("bad qubit count in {!r}".format(token), EXIT_FORMAT) from None
     if n is None:
         raise CliError("qubit count could not be inferred; pass --qubits", EXIT_FORMAT)
+    try:
+        t = build_topology(cfg.topology, n)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_FORMAT) from exc
 
     perms = []
     for token in cfg.operations:
-        if os.path.exists(token):
-            with open(token, encoding="utf-8") as fh:
-                perms.append(parse_truth_table(fh.read()))
+        if token in tables:
+            perms.append(tables[token])
         else:
             try:
                 perms.append(builtin_operation(token, n))
@@ -112,7 +121,7 @@ def _resolve_operations(cfg: RunConfig) -> tuple[Permutation, str]:
     combined = perms[0]
     for extra in perms[1:]:
         combined = compose(combined, extra)
-    return combined, "+".join(cfg.operations)
+    return combined, "+".join(cfg.operations), t
 
 
 def _default_labeling(cfg: RunConfig) -> str:
@@ -122,7 +131,7 @@ def _default_labeling(cfg: RunConfig) -> str:
 
 
 def _check_scheme(cfg: RunConfig, name: str) -> None:
-    allowed = CHAIN_SCHEMES if cfg.topology == QUADRUPOLAR_CHAIN else HYPERCUBE_SCHEMES
+    allowed = synthesizer.SCHEMES[cfg.topology]
     if name not in allowed:
         raise CliError(
             "labeling {!r} is not valid for {} (choose from {})".format(
@@ -142,10 +151,9 @@ def _write_outputs(cfg: RunConfig, files: dict[str, str]) -> None:
 
 
 def cmd_compile(cfg: RunConfig) -> int:
-    p, op_name = _resolve_operations(cfg)
+    p, op_name, t = _resolve_operations(cfg)
     name = _default_labeling(cfg)
     _check_scheme(cfg, name)
-    t = build_topology(cfg.topology, p.n_qubits)
     d = maximal_sets(p)
     scheme, seq = synthesizer.synthesize_named(name, p, d, t, cfg.depth_cap)
     scheduled = synthesizer.schedule_rounds(seq)
@@ -179,8 +187,7 @@ def cmd_compile(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    p, op_name = _resolve_operations(cfg)
-    t = build_topology(cfg.topology, p.n_qubits)
+    p, op_name, t = _resolve_operations(cfg)
     try:
         with open(cfg.labeling_table, encoding="utf-8") as fh:
             labeling = labeler.parse_labeling(fh.read(), t)
@@ -189,14 +196,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_FORMAT) from exc
     scheme = labeler.fixed_scheme(labeling, "external")
-    u = simulator.sequence_unitary(seq)
-    verdict = simulator.verify_permutation(u, p, scheme)
+    verdict = simulator.verify_permutation(simulator.sequence_product(seq), p, scheme)
     lines = [
         "command: verify",
         "operation: {}".format(op_name),
         "verdict: {}".format("PASS" if verdict.passed else "FAIL"),
         "realized: {}".format(" ".join(str(x) for x in verdict.realized)),
-        "phases: {}".format(" ".join(_fmt_phase(ph) for ph in verdict.phases)),
+        "phases: {}".format(" ".join("{:+d}".format(ph) for ph in verdict.phases)),
     ]
     for problem in verdict.problems:
         lines.append("problem: {}".format(problem))
@@ -204,15 +210,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if verdict.passed else EXIT_VERIFY
 
 
-def _fmt_phase(ph: complex) -> str:
-    if abs(ph.imag) < 1e-12:
-        return "{:+g}".format(ph.real)
-    return "{:+g}{:+g}j".format(ph.real, ph.imag)
-
-
 def cmd_compare(cfg: RunConfig) -> int:
-    p, op_name = _resolve_operations(cfg)
-    t = build_topology(cfg.topology, p.n_qubits)
+    p, op_name, t = _resolve_operations(cfg)
     report = synthesizer.pulse_count_report(p, t, cfg.depth_cap)
     lines = [
         "command: compare",
@@ -232,10 +231,9 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    p, op_name = _resolve_operations(cfg)
+    p, op_name, t = _resolve_operations(cfg)
     name = _default_labeling(cfg)
     _check_scheme(cfg, name)
-    t = build_topology(cfg.topology, p.n_qubits)
     d = maximal_sets(p)
     scheme, _ = synthesizer.synthesize_named(name, p, d, t, cfg.depth_cap)
     eq = simulator.equilibrium_populations(t, scheme)
@@ -262,10 +260,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
-    p, op_name = _resolve_operations(cfg)
+    p, op_name, t = _resolve_operations(cfg)
     if cfg.topology != QUADRUPOLAR_CHAIN:
         raise CliError("enumeration applies to the quadrupolar chain", EXIT_FORMAT)
-    t = build_topology(cfg.topology, p.n_qubits)
     d = maximal_sets(p)
     lines = [
         "command: enumerate",
@@ -288,6 +285,18 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError("must be at least {}".format(minimum))
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levelpulse",
@@ -300,11 +309,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="truth-table file, fulladder4, swap:i,j or identity:N")
         sp.add_argument("--topology", choices=sorted(TOPOLOGY_ALIASES), default="chain")
         sp.add_argument("--qubits", type=int, default=None)
-        sp.add_argument("--depth-cap", type=int, default=None, dest="depth_cap")
+        sp.add_argument("--depth-cap", type=_at_least(0), default=None, dest="depth_cap")
         if labeling:
             sp.add_argument(
                 "--labeling",
-                choices=sorted(set(CHAIN_SCHEMES + HYPERCUBE_SCHEMES)),
+                choices=sorted({s for names in synthesizer.SCHEMES.values() for s in names}),
                 default=None,
                 help="defaults to ols on the chain, pairswap on the hypercube",
             )
@@ -328,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="count or list optimal chain labelings")
     common(sp)
-    sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--show", type=int, default=0)
+    sp.add_argument("--limit", type=_at_least(1), default=None)
+    sp.add_argument("--show", type=_at_least(0), default=0)
 
     return parser
 

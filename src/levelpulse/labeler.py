@@ -39,9 +39,6 @@ __all__ = [
 PATH = "path"
 ZIGZAG = "zigzag"
 
-ASCENDING = "ascending"
-DESCENDING = "descending"
-
 
 @dataclass(frozen=True)
 class SetPlacement:
@@ -55,7 +52,6 @@ class SetPlacement:
 
     levels: tuple[int, ...]
     style: str = PATH
-    orientation: str = ASCENDING
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,6 @@ def _scheme_from_segments(
     provenance: str,
     segment_levels: dict[int, tuple[int, ...]],
     styles: dict[int, str] | None = None,
-    orientations: dict[int, str] | None = None,
 ) -> LabelingScheme:
     level_to_label = [-1] * t.level_count
     placements = []
@@ -105,13 +100,7 @@ def _scheme_from_segments(
         levels = segment_levels[i]
         for state, level in zip(mset.chain, levels):
             level_to_label[level] = state
-        placements.append(
-            SetPlacement(
-                levels,
-                (styles or {}).get(i, PATH),
-                (orientations or {}).get(i, ASCENDING),
-            )
-        )
+        placements.append(SetPlacement(levels, (styles or {}).get(i, PATH)))
     labeling = Labeling(t.n_qubits, tuple(level_to_label))
     return LabelingScheme(labeling, provenance, tuple(placements))
 
@@ -153,20 +142,16 @@ def enumerate_ols_quadrupolar(
     multi = [i for i in range(len(d.sets)) if len(d.sets[i]) > 1]
     produced = 0
     for order in itertools.permutations(range(len(d.sets))):
-        for flips in itertools.product((ASCENDING, DESCENDING), repeat=len(multi)):
-            orient = dict(zip(multi, flips))
+        for flips in itertools.product((False, True), repeat=len(multi)):
+            descending = {i for i, flip in zip(multi, flips) if flip}
             segments: dict[int, tuple[int, ...]] = {}
             cursor = 0
             for i in order:
                 length = len(d.sets[i])
                 seg = tuple(range(cursor, cursor + length))
-                if orient.get(i) == DESCENDING:
-                    seg = seg[::-1]
-                segments[i] = seg
+                segments[i] = seg[::-1] if i in descending else seg
                 cursor += length
-            yield _scheme_from_segments(
-                d, t, "ols", segments, orientations=orient
-            )
+            yield _scheme_from_segments(d, t, "ols", segments)
             produced += 1
             if limit is not None and produced >= limit:
                 return

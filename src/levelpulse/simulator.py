@@ -1,13 +1,14 @@
-"""Product unitaries, permutation verification, populations and spectra.
+"""Exact pulse products, permutation verification, populations and spectra.
 
 A pi_y pulse on one transition is the identity except for the 2x2 block
 (0, 1 / -1, 0) on its two levels, with the +1 in the upper triangle of
 the label-ordered basis.  Products are taken in application order with
 the first pulse leftmost, so the realized permutation is read along
-rows: the single unit-modulus entry of row j sits in the column the
+rows: the single nonzero entry of row j sits in the column the
 amplitude of level j moves to, and its sign is the residual controlled
-phase.  Verification is therefore phase tolerant; phases are reported,
-never judged.
+phase.  Every product is therefore a signed permutation, tracked exactly
+as one destination level and one +1/-1 phase per row; verification
+compares the levels and reports the phases without judging them.
 
 Populations use the high-temperature deviation model with equal unit
 steps per spin flip, which keeps every equilibrium and final population
@@ -18,20 +19,19 @@ assigns each transition the population difference across its edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .labeler import LabelingScheme
+from .labeler import LabelingScheme, _fmt_m
 from .permutation import Permutation
 from .synthesizer import Pulse, PulseSequence
-from .topology import QUADRUPOLAR_CHAIN, Labeling, Topology
+from .topology import QUADRUPOLAR_CHAIN, Topology
 
 __all__ = [
     "pulse_unitary",
+    "sequence_product",
     "sequence_unitary",
-    "is_unitary",
     "Verdict",
     "verify_permutation",
     "equilibrium_populations",
@@ -41,17 +41,10 @@ __all__ = [
     "serialize_spectrum",
 ]
 
-TOLERANCE = 1e-9
 
-
-def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
-    """Matrix of one transition-selective pi_y pulse.
-
-    The +1 entry sits in the row of the level carrying the lower label
-    (for bare level pairs the labels default to the levels themselves).
-    Applying the pulse twice leaves a -1 phase on both levels (a 2 pi
-    rotation) and the identity elsewhere.
-    """
+def _ordered_levels(pulse: "Pulse | tuple[int, int]", dim: int) -> tuple[int, int]:
+    # (level carrying the lower label, the other level); bare level pairs
+    # use the levels themselves as labels
     if isinstance(pulse, Pulse):
         a, b = pulse.levels
         lo, hi = (a, b) if pulse.label_a < pulse.label_b else (b, a)
@@ -62,6 +55,18 @@ def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
         raise ValueError("pulse levels must differ")
     if not (0 <= min(a, b) and max(a, b) < dim):
         raise ValueError("pulse levels ({}, {}) out of range for dim {}".format(a, b, dim))
+    return lo, hi
+
+
+def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
+    """Matrix of one transition-selective pi_y pulse.
+
+    The +1 entry sits in the row of the level carrying the lower label
+    (for bare level pairs the labels default to the levels themselves).
+    Applying the pulse twice leaves a -1 phase on both levels (a 2 pi
+    rotation) and the identity elsewhere.
+    """
+    lo, hi = _ordered_levels(pulse, dim)
     m = np.eye(dim, dtype=complex)
     m[lo, lo] = m[hi, hi] = 0.0
     m[lo, hi] = 1.0
@@ -69,13 +74,17 @@ def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
     return m
 
 
-def sequence_unitary(
+def sequence_product(
     seq: "PulseSequence | Iterable[Pulse | tuple[int, int]]", dim: int | None = None
-) -> np.ndarray:
-    """Product of a pulse sequence in application order.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exact product of a pulse sequence in application order.
 
-    The first pulse is the leftmost factor; an empty sequence gives the
-    identity.
+    Returns ``(realized, phases)``: the product's row j has its single
+    nonzero entry ``phases[j]`` (+1 or -1) in column ``realized[j]``.
+    Each pulse moves the row sitting on the lower-label level to the
+    other level unchanged, and the row on the other level back with its
+    sign flipped, so the whole product costs O(P + 2^N).  An empty
+    sequence gives the identity.
     """
     if isinstance(seq, PulseSequence):
         pulses: Sequence = seq.pulses
@@ -84,65 +93,67 @@ def sequence_unitary(
         pulses = list(seq)
         if dim is None:
             raise ValueError("dim is required when passing a bare pulse list")
-    u = np.eye(dim, dtype=complex)
+    row_at = list(range(dim))  # row whose nonzero entry sits in each column
+    sign_at = [1] * dim  # and the sign of that entry
     for pulse in pulses:
-        u = u @ pulse_unitary(pulse, dim)
+        lo, hi = _ordered_levels(pulse, dim)
+        row_at[lo], row_at[hi] = row_at[hi], row_at[lo]
+        sign_at[lo], sign_at[hi] = -sign_at[hi], sign_at[lo]
+    realized = [0] * dim
+    phases = [0] * dim
+    for col, row in enumerate(row_at):
+        realized[row] = col
+        phases[row] = sign_at[col]
+    return tuple(realized), tuple(phases)
+
+
+def sequence_unitary(
+    seq: "PulseSequence | Iterable[Pulse | tuple[int, int]]", dim: int | None = None
+) -> np.ndarray:
+    """Dense matrix of :func:`sequence_product`, for small fixtures."""
+    realized, phases = sequence_product(seq, dim)
+    u = np.zeros((len(realized), len(realized)), dtype=complex)
+    u[np.arange(len(realized)), realized] = phases
     return u
-
-
-def is_unitary(u: np.ndarray, tol: float = TOLERANCE) -> bool:
-    dim = u.shape[0]
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(dim))) <= tol)
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a phase-tolerant permutation check.
+    """Outcome of a permutation check that reports phases without judging them.
 
-    ``realized`` is the level permutation actually implemented (largest
-    entry per row) and ``phases`` the diagonal phase picked up by each
-    input state.  ``problems`` lists the mismatches on failure.
+    ``realized`` is the level permutation actually implemented (the
+    destination level of each row) and ``phases`` the +1/-1 picked up
+    by each input state.  ``problems`` lists the mismatches on failure.
     """
 
     passed: bool
     realized: tuple[int, ...]
-    phases: tuple[complex, ...]
+    phases: tuple[int, ...]
     problems: tuple[str, ...] = ()
 
 
 def verify_permutation(
-    u: np.ndarray,
+    product: tuple[Sequence[int], Sequence[int]],
     p: Permutation,
     scheme: LabelingScheme,
-    tol: float = TOLERANCE,
 ) -> Verdict:
-    """Check that a product unitary realizes a truth table up to phases.
+    """Check that a :func:`sequence_product` realizes a truth table up to phases.
 
-    Every row must hold exactly one entry of modulus 1 (within ``tol``,
-    all others below ``tol``), located at the level the scheme maps the
-    row's output label to.
+    Every row must move to the level the scheme maps the row's output
+    label to.
     """
-    labeling = scheme.labeling
-    dim = u.shape[0]
-    if dim != p.size:
-        raise ValueError("unitary dimension {} does not match 2^N = {}".format(dim, p.size))
-    realized = []
-    phases = []
-    problems = []
-    for row in range(dim):
-        mags = np.abs(u[row])
-        col = int(np.argmax(mags))
-        realized.append(col)
-        phases.append(complex(u[row, col]))
-        expected = labeling.level_of(p(labeling.label_of(row)))
-        others = np.delete(mags, col)
-        if abs(mags[col] - 1.0) > tol or (others.size and np.max(others) > tol):
-            problems.append("row {} is not a pure transposition entry".format(row))
-        elif col != expected:
-            problems.append(
-                "level {} maps to level {}, expected {}".format(row, col, expected)
-            )
-    return Verdict(not problems, tuple(realized), tuple(phases), tuple(problems))
+    realized, phases = product
+    if len(realized) != p.size:
+        raise ValueError(
+            "product dimension {} does not match 2^N = {}".format(len(realized), p.size)
+        )
+    expected = scheme.labeling.induced(p)
+    problems = tuple(
+        "level {} maps to level {}, expected {}".format(row, got, want)
+        for row, (got, want) in enumerate(zip(realized, expected))
+        if got != want
+    )
+    return Verdict(not problems, tuple(realized), tuple(phases), problems)
 
 
 def equilibrium_populations(t: Topology, scheme: LabelingScheme | None = None) -> np.ndarray:
@@ -157,10 +168,6 @@ def equilibrium_populations(t: Topology, scheme: LabelingScheme | None = None) -
     return np.array([n / 2 - bin(level).count("1") for level in range(t.level_count)])
 
 
-def _induced(p: Permutation, labeling: Labeling) -> list[int]:
-    return [labeling.level_of(p(labeling.label_of(lv))) for lv in range(p.size)]
-
-
 def final_populations(
     eq: np.ndarray, p: Permutation, scheme: LabelingScheme
 ) -> np.ndarray:
@@ -169,7 +176,7 @@ def final_populations(
     The level ending up with output label y holds the population that
     started on the level carrying the input label mapped to y.
     """
-    sigma = _induced(p, scheme.labeling)
+    sigma = scheme.labeling.induced(p)
     inv = [0] * len(sigma)
     for src, dst in enumerate(sigma):
         inv[dst] = src
@@ -189,10 +196,6 @@ class Stick:
     level_a: int
     level_b: int
     intensity: int
-
-
-def _fmt_m(m: Fraction) -> str:
-    return ("+{}" if m >= 0 else "{}").format(m)
 
 
 def stick_spectrum(

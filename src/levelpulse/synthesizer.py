@@ -41,6 +41,7 @@ from .permutation import (
 )
 from .topology import (
     QUADRUPOLAR_CHAIN,
+    SPIN_HALF_HYPERCUBE,
     Labeling,
     Topology,
     conventional_labeling,
@@ -76,7 +77,6 @@ class Pulse:
     level_b: int
     label_a: int
     label_b: int
-    axis: str = "y"
 
     @property
     def levels(self) -> tuple[int, int]:
@@ -99,8 +99,8 @@ class PulseSequence:
     def __post_init__(self) -> None:
         if sum(self.rounds) != len(self.pulses):
             raise ValueError("round sizes must partition the pulse list")
-        for levels in self.round_levels():
-            flat = [lv for pair in levels for lv in pair]
+        for a, b in self.round_slices():
+            flat = [lv for pulse in self.pulses[a:b] for lv in pulse.levels]
             if len(flat) != len(set(flat)):
                 raise ValueError("pulses within a round must not share a level")
 
@@ -113,11 +113,6 @@ class PulseSequence:
             out.append((start, start + size))
             start += size
         return out
-
-    def round_levels(self) -> list[list[tuple[int, int]]]:
-        return [
-            [p.levels for p in self.pulses[a:b]] for a, b in self.round_slices()
-        ]
 
 
 def _unscheduled(n_qubits: int, pulses: list[Pulse]) -> PulseSequence:
@@ -203,13 +198,6 @@ def synthesize_scheme(
 
 # ---------------------------------------------------------------------------
 # fixed-labeling routing
-
-
-def _induced_level_permutation(p: Permutation, labeling: Labeling) -> tuple[int, ...]:
-    # sigma(level) = destination level of the amplitude starting there
-    return tuple(
-        labeling.level_of(p(labeling.label_of(level))) for level in range(p.size)
-    )
 
 
 def _bubble_pulses(sigma: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -440,8 +428,8 @@ def synthesize_fixed_labeling(
     back to an exact search over the whole group, larger ones to a
     per-orbit deepening search bounded by ``depth_cap``.
     """
-    sigma = _induced_level_permutation(p, scheme.labeling)
     labeling = scheme.labeling
+    sigma = labeling.induced(p)
     if t.kind == QUADRUPOLAR_CHAIN:
         raw = _bubble_pulses(sigma)
         return _unscheduled(t.n_qubits, [_pulse(t, labeling, a, b) for a, b in raw])
@@ -484,23 +472,24 @@ def schedule_rounds(seq: PulseSequence) -> PulseSequence:
 
     A pulse lands one round after the latest earlier pulse it shares a
     level with, so only commuting (level-disjoint) pulses are reordered
-    and the product operator never changes.
+    and the product operator never changes.  The latest pulse on a level
+    holds that level's highest round, so one pass with a per-level
+    record suffices.
     """
-    rnum: list[int] = []
-    for i, pulse in enumerate(seq.pulses):
-        r = 0
-        for j in range(i):
-            if set(pulse.levels) & set(seq.pulses[j].levels):
-                r = max(r, rnum[j])
-        rnum.append(r + 1)
-    if not rnum:
-        return PulseSequence(seq.n_qubits, (), ())
-    ordered = sorted(range(len(rnum)), key=lambda i: (rnum[i], i))
-    pulses = tuple(seq.pulses[i] for i in ordered)
-    sizes = []
-    for r in range(1, max(rnum) + 1):
-        sizes.append(sum(1 for x in rnum if x == r))
-    return PulseSequence(seq.n_qubits, pulses, tuple(sizes))
+    last_round = [0] * (1 << seq.n_qubits)  # 1-based; 0 = level not pulsed yet
+    rounds: list[list[Pulse]] = []
+    for pulse in seq.pulses:
+        a, b = pulse.levels
+        r = max(last_round[a], last_round[b])
+        if r == len(rounds):
+            rounds.append([])
+        rounds[r].append(pulse)
+        last_round[a] = last_round[b] = r + 1
+    return PulseSequence(
+        seq.n_qubits,
+        tuple(pulse for rnd in rounds for pulse in rnd),
+        tuple(len(rnd) for rnd in rounds),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +505,13 @@ def _benchmark_counts() -> dict[tuple[int, ...], dict[str, int]]:
         fa.mapping: {"cl": 12, "gray": 10},
         fa_swap.mapping: {"cl": 24, "gray": 26},
     }
+
+
+# labeling schemes valid on each topology, in report order
+SCHEMES = {
+    QUADRUPOLAR_CHAIN: ("ols", "cl", "gray"),
+    SPIN_HALF_HYPERCUBE: ("pairswap", "parallel", "cl"),
+}
 
 
 @dataclass(frozen=True)
@@ -571,14 +567,9 @@ def pulse_count_report(
     number is flagged in ``notes`` instead of passing silently.
     """
     d = maximal_sets(p)
-    names = (
-        ("ols", "cl", "gray")
-        if t.kind == QUADRUPOLAR_CHAIN
-        else ("pairswap", "parallel", "cl")
-    )
     counts: dict[str, int] = {}
     rounds: dict[str, int] = {}
-    for name in names:
+    for name in SCHEMES[t.kind]:
         _, seq = synthesize_named(name, p, d, t, depth_cap)
         counts[name] = len(seq)
         rounds[name] = len(schedule_rounds(seq).rounds)
@@ -602,14 +593,13 @@ def pulse_count_report(
 
 
 def serialize_pulse_program(seq: PulseSequence) -> str:
-    """One line per pulse: round, axis, levels and the label annotation."""
+    """One line per pulse: round, pi_y, levels and the label annotation."""
     lines = []
     for (start, end), rno in zip(seq.round_slices(), itertools.count(1)):
         for pulse in seq.pulses[start:end]:
             lines.append(
-                "{}  pi_{}  {}  {}  # |{}> <-> |{}>".format(
+                "{}  pi_y  {}  {}  # |{}> <-> |{}>".format(
                     rno,
-                    pulse.axis,
                     pulse.level_a,
                     pulse.level_b,
                     bit_string(pulse.label_a, seq.n_qubits),
@@ -640,11 +630,10 @@ def parse_pulse_program(text: str, t: Topology, labeling: Labeling) -> PulseSequ
     rounds_seen = [r for r, _, _ in entries]
     if rounds_seen != sorted(rounds_seen) or rounds_seen[0] != 1:
         raise ValueError("round indices must be non-decreasing from 1")
-    if set(rounds_seen) != set(range(1, max(rounds_seen) + 1)):
+    if any(b - a > 1 for a, b in zip(rounds_seen, rounds_seen[1:])):
         raise ValueError("round indices must be contiguous")
     pulses = tuple(_pulse(t, labeling, a, b) for _, a, b in entries)
-    sizes = tuple(
-        sum(1 for r, _, _ in entries if r == rno)
-        for rno in range(1, max(rounds_seen) + 1)
-    )
-    return PulseSequence(t.n_qubits, pulses, sizes)
+    sizes = [0] * rounds_seen[-1]
+    for r in rounds_seen:
+        sizes[r - 1] += 1
+    return PulseSequence(t.n_qubits, pulses, tuple(sizes))

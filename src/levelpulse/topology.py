@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 __all__ = [
     "QUADRUPOLAR_CHAIN",
@@ -118,6 +119,14 @@ class Labeling:
 
     def level_of(self, label: int) -> int:
         return self.label_to_level[label]
+
+    def induced(self, p: Callable[[int], int]) -> tuple[int, ...]:
+        """Level permutation of a label permutation ``p``.
+
+        Entry ``level`` is the level the amplitude starting there ends on.
+        """
+        to_level = self.label_to_level
+        return tuple(to_level[p(label)] for label in self.level_to_label)
 
     def label_bits(self, level: int) -> str:
         return format(self.level_to_label[level], "0{}b".format(self.n_qubits))

@@ -35,6 +35,7 @@ from levelpulse import (
     relabel_pairswap_spin_half,
     relabel_parallel_spin_half,
     schedule_rounds,
+    sequence_product,
     sequence_unitary,
     stick_spectrum,
     synthesize_fixed_labeling,
@@ -165,21 +166,21 @@ def test_criterion_5_random_tables_compile_verify():
             seq = synthesize_scheme(d, scheme, chain)
             ok = ok and len(seq) == floor
             ok = ok and verify_permutation(
-                sequence_unitary(seq), p, scheme, tol=1e-9
+                sequence_product(seq), p, scheme
             ).passed
 
             scheme = relabel_pairswap_spin_half(d, cube)
             seq = synthesize_scheme(d, scheme, cube)
             ok = ok and len(seq) == floor
             ok = ok and verify_permutation(
-                sequence_unitary(seq), p, scheme, tol=1e-9
+                sequence_product(seq), p, scheme
             ).passed
 
             for topo in (chain, cube):
                 cl = fixed_scheme(conventional_labeling(topo), "conventional")
                 seq = synthesize_fixed_labeling(p, cl, topo)
                 ok = ok and verify_permutation(
-                    sequence_unitary(seq), p, cl, tol=1e-9
+                    sequence_product(seq), p, cl
                 ).passed
             checked += 2
             if not ok:
@@ -245,5 +246,5 @@ def test_criterion_8_brute_force_oracle():
             p = Permutation(2, mapping)
             seq = synthesize_fixed_labeling(p, cl, t)
             ok = ok and len(seq) == oracle[mapping]
-            ok = ok and verify_permutation(sequence_unitary(seq), p, cl).passed
+            ok = ok and verify_permutation(sequence_product(seq), p, cl).passed
     assert report("8 shortest-factorization oracle", ok)

@@ -1,15 +1,25 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from conftest import FULL_ADDER_DOC
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run_cli(*args, cwd=None):
+    # an absolute src path keeps the package importable from any cwd
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "levelpulse.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -139,6 +149,58 @@ def test_verify_accepts_commuting_reorder(tmp_path):
     assert "verdict: PASS" in result.stdout
 
 
+PARALLEL_ADDER_LABELING = """\
+0  0000
+1  0001
+2  0010
+3  0011
+4  0100
+5  0111
+6  0101
+7  0110
+8  1000
+9  1011
+10  1001
+11  1010
+12  1100
+13  1101
+14  1110
+15  1111
+"""
+
+PARALLEL_ADDER_PROGRAM = """\
+1  pi_y  4  5  # |0100> <-> |0111>
+1  pi_y  6  7  # |0101> <-> |0110>
+1  pi_y  8  9  # |1000> <-> |1011>
+1  pi_y  10  11  # |1001> <-> |1010>
+1  pi_y  12  13  # |1100> <-> |1101>
+1  pi_y  14  15  # |1110> <-> |1111>
+2  pi_y  5  7  # |0111> <-> |0110>
+2  pi_y  9  11  # |1011> <-> |1010>
+"""
+
+
+def test_verify_golden_output(tmp_path):
+    # pulses (5, 7) and (9, 11) carry labels against their level order,
+    # so the phases pin the label-order sign rule
+    (tmp_path / "labeling.txt").write_text(PARALLEL_ADDER_LABELING)
+    (tmp_path / "program.txt").write_text(PARALLEL_ADDER_PROGRAM)
+    result = run_cli(
+        "verify", "--topology", "hypercube",
+        "--program", str(tmp_path / "program.txt"),
+        "--labeling-table", str(tmp_path / "labeling.txt"),
+        "fulladder4",
+    )
+    assert result.returncode == 0
+    assert result.stdout == (
+        "command: verify\n"
+        "operation: fulladder4\n"
+        "verdict: PASS\n"
+        "realized: 0 1 2 3 7 4 5 6 11 8 9 10 13 12 15 14\n"
+        "phases: +1 +1 +1 +1 -1 -1 +1 -1 -1 -1 +1 -1 +1 -1 +1 -1\n"
+    )
+
+
 def test_spectrum_parallel_adder():
     result = run_cli(
         "spectrum", "--topology", "hypercube", "--labeling", "parallel", "fulladder4"
@@ -193,6 +255,24 @@ def test_enumerate_with_limit_and_show():
     assert "formula-count: 645120" in result.stdout
     assert "enumerated: 5" in result.stdout
     assert result.stdout.count("scheme ") == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compile", "identity:11"),
+        ("compile", "--qubits", "11", "swap:1,2"),
+        ("compile", "identity:x"),
+        ("enumerate", "fulladder4", "--limit", "0"),
+        ("enumerate", "fulladder4", "--show", "-1"),
+        ("compile", "--depth-cap", "-1", "fulladder4"),
+    ],
+)
+def test_hard_edges_exit_2_without_traceback(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "error:" in result.stderr.strip().splitlines()[-1]
+    assert "Traceback" not in result.stderr
 
 
 def test_labeling_rejected_for_wrong_topology():

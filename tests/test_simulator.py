@@ -5,6 +5,7 @@ import pytest
 
 from levelpulse import (
     Permutation,
+    Pulse,
     QUADRUPOLAR_CHAIN,
     SPIN_HALF_HYPERCUBE,
     build_topology,
@@ -12,10 +13,11 @@ from levelpulse import (
     equilibrium_populations,
     final_populations,
     fixed_scheme,
-    is_unitary,
     maximal_sets,
+    ols_quadrupolar,
     pulse_unitary,
     relabel_parallel_spin_half,
+    sequence_product,
     sequence_unitary,
     serialize_spectrum,
     stick_spectrum,
@@ -49,6 +51,15 @@ def test_pulse_unitary_other_block():
     assert np.array_equal(u, expected)
 
 
+def test_pulse_unitary_follows_label_order():
+    # level 1 carries the lower label, so its row holds the +1
+    u = pulse_unitary(Pulse(0, 1, 0b11, 0b10), 4)
+    expected = np.array(
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
+    )
+    assert np.array_equal(u, expected)
+
+
 def test_pulse_unitary_square_is_two_pi():
     u = pulse_unitary((1, 3), 4)
     sq = u @ u
@@ -76,19 +87,43 @@ def test_sequence_unitary_reordered_bridge_product():
 
 
 def test_products_are_unitary_random():
+    # exact, against the left-to-right product of per-pulse matrices, for
+    # bare level pairs and for ols / parallel pulses whose label order
+    # runs against their level order
     rng = random.Random(13)
-    t = build_topology(SPIN_HALF_HYPERCUBE, 3)
-    for _ in range(20):
-        pulses = [t.edges[rng.randrange(len(t.edges))] for _ in range(10)]
-        u = sequence_unitary(pulses, 8)
-        assert is_unitary(u)
+    for kind, place in (
+        (SPIN_HALF_HYPERCUBE, None),
+        (QUADRUPOLAR_CHAIN, ols_quadrupolar),
+        (SPIN_HALF_HYPERCUBE, relabel_parallel_spin_half),
+    ):
+        t = build_topology(kind, 3)
+        if place is None:
+            choices = list(t.edges)
+        else:
+            lab = place(maximal_sets(random_permutation(3, rng)), t).labeling
+            choices = [Pulse(a, b, lab.label_of(a), lab.label_of(b)) for a, b in t.edges]
+            assert any(pulse.label_a > pulse.label_b for pulse in choices)
+        for _ in range(20):
+            pulses = [choices[rng.randrange(len(choices))] for _ in range(10)]
+            u = sequence_unitary(pulses, 8)
+            reference = np.eye(8, dtype=complex)
+            for pulse in pulses:
+                reference = reference @ pulse_unitary(pulse, 8)
+            assert np.array_equal(u, reference)
+            assert np.array_equal(u @ u.conj().T, np.eye(8))
+
+
+@pytest.mark.parametrize("pair", [(2, 2), (0, 4), (-1, 2)])
+def test_sequence_product_level_errors(pair):
+    with pytest.raises(ValueError):
+        sequence_product([(0, 1), pair], 4)
 
 
 def test_verify_cycle_pass_with_phases():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     scheme = fixed_scheme(conventional_labeling(t), "conventional")
     p = Permutation(2, (2, 3, 1, 0))
-    verdict = verify_permutation(CYCLE4_MATRIX, p, scheme)
+    verdict = verify_permutation(sequence_product([(1, 3), (1, 2), (0, 2)], 4), p, scheme)
     assert verdict.passed
     assert verdict.realized == (2, 3, 1, 0)
     assert verdict.phases == (1 + 0j, 1 + 0j, -1 + 0j, 1 + 0j)
@@ -97,9 +132,7 @@ def test_verify_cycle_pass_with_phases():
 def test_verify_identity():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     scheme = fixed_scheme(conventional_labeling(t), "conventional")
-    verdict = verify_permutation(
-        np.eye(4, dtype=complex), Permutation.identity(2), scheme
-    )
+    verdict = verify_permutation(sequence_product([], 4), Permutation.identity(2), scheme)
     assert verdict.passed
     assert verdict.phases == (1 + 0j,) * 4
 
@@ -108,8 +141,7 @@ def test_verify_wrong_permutation_fails():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     scheme = fixed_scheme(conventional_labeling(t), "conventional")
     three_cycle = Permutation(2, (1, 2, 0, 3))
-    u = pulse_unitary((0, 1), 4)
-    verdict = verify_permutation(u, three_cycle, scheme)
+    verdict = verify_permutation(sequence_product([(0, 1)], 4), three_cycle, scheme)
     assert not verdict.passed
     assert verdict.realized == (1, 0, 2, 3)
     assert verdict.problems
@@ -119,7 +151,7 @@ def test_verify_dimension_mismatch():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     scheme = fixed_scheme(conventional_labeling(t), "conventional")
     with pytest.raises(ValueError, match="dimension"):
-        verify_permutation(np.eye(8, dtype=complex), Permutation.identity(2), scheme)
+        verify_permutation(sequence_product([], 8), Permutation.identity(2), scheme)
 
 
 def test_equilibrium_hypercube_populations():

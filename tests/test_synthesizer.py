@@ -22,6 +22,7 @@ from levelpulse import (
     relabel_pairswap_spin_half,
     relabel_parallel_spin_half,
     schedule_rounds,
+    sequence_product,
     sequence_unitary,
     serialize_pulse_program,
     synthesize_fixed_labeling,
@@ -141,7 +142,7 @@ def test_reordered_factorization_same_operator():
     assert np.array_equal(u_chain, u_re)
     assert np.array_equal(u_re, CYCLE4_MATRIX)
     p = Permutation(2, (2, 3, 1, 0))
-    assert verify_permutation(u_re, p, scheme).passed
+    assert verify_permutation(sequence_product(reordered, 4), p, scheme).passed
 
 
 def test_chain_fixed_labeling_length_is_inversion_count():
@@ -181,7 +182,7 @@ def test_fixed_labeling_verifies_random_tables():
                 seq = synthesize_fixed_labeling(p, scheme, t)
                 for pulse in seq.pulses:
                     assert t.is_edge(*pulse.levels)
-                assert verify_permutation(sequence_unitary(seq), p, scheme).passed
+                assert verify_permutation(sequence_product(seq), p, scheme).passed
 
 
 def test_fixed_labeling_depth_cap(full_adder):
@@ -196,7 +197,7 @@ def test_fixed_labeling_depth_cap(full_adder):
         synthesize_fixed_labeling(p, scheme, t, depth_cap=3)
     seq = synthesize_fixed_labeling(p, scheme, t, depth_cap=7)
     assert len(seq) == 7
-    assert verify_permutation(sequence_unitary(seq), p, scheme).passed
+    assert verify_permutation(sequence_product(seq), p, scheme).passed
 
 
 def test_schedule_single_pulse(full_adder):
@@ -294,6 +295,7 @@ def test_pulse_program_round_trip(full_adder):
         "not a pulse line",
         "2  pi_y  0  1",
         "1  pi_y  0  3",
+        "1  pi_y  0  1\n3  pi_y  2  3",
     ],
 )
 def test_pulse_program_parse_errors(text):
@@ -301,3 +303,29 @@ def test_pulse_program_parse_errors(text):
     lab = conventional_labeling(t)
     with pytest.raises(ValueError):
         parse_pulse_program(text, t, lab)
+
+
+def naive_schedule(seq):
+    # pairwise reference: a pulse lands one round after the latest earlier
+    # pulse sharing a level; stable order within each round
+    rnum = []
+    for i, pulse in enumerate(seq.pulses):
+        r = 0
+        for j in range(i):
+            if set(pulse.levels) & set(seq.pulses[j].levels):
+                r = max(r, rnum[j])
+        rnum.append(r + 1)
+    order = sorted(range(len(rnum)), key=lambda i: (rnum[i], i))
+    sizes = tuple(rnum.count(r) for r in range(1, max(rnum, default=0) + 1))
+    return tuple(seq.pulses[i] for i in order), sizes
+
+
+def test_schedule_matches_pairwise_reference_chain_random():
+    rng = random.Random(5)
+    t = build_topology(QUADRUPOLAR_CHAIN, 5)
+    scheme = fixed_scheme(conventional_labeling(t), "conventional")
+    for _ in range(5):
+        seq = synthesize_fixed_labeling(random_permutation(5, rng), scheme, t)
+        scheduled = schedule_rounds(seq)
+        assert (scheduled.pulses, scheduled.rounds) == naive_schedule(seq)
+        assert sequence_product(scheduled) == sequence_product(seq)
