@@ -10,8 +10,8 @@ Operations are given as truth-table files or as the built-in names
 right.  All output is deterministic: the same configuration and inputs
 give byte-identical reports.
 
-Exit codes: 0 success, 2 parse or format error, 3 synthesis failure,
-4 verification failure.
+Exit codes: 0 success, 2 parse or format error, 3 routing search
+exceeded its depth cap, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .permutation import (
     count_optimal_labelings,
     parse_truth_table,
 )
-from .labeler import RelabelError
 from .synthesizer import SynthesisError
 from .topology import QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE, Topology, build_topology
 
@@ -195,7 +194,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             seq = synthesizer.parse_pulse_program(fh.read(), t, labeling)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_FORMAT) from exc
-    scheme = labeler.fixed_scheme(labeling, "external")
+    scheme = labeler.fixed_scheme(labeling)
     verdict = simulator.verify_permutation(simulator.sequence_product(seq), p, scheme)
     lines = [
         "command: verify",
@@ -236,7 +235,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     _check_scheme(cfg, name)
     d = maximal_sets(p)
     scheme, _ = synthesizer.synthesize_named(name, p, d, t, cfg.depth_cap)
-    eq = simulator.equilibrium_populations(t, scheme)
+    eq = simulator.equilibrium_populations(t)
     fin = simulator.final_populations(eq, p, scheme)
     parts = [
         "command: spectrum",
@@ -247,12 +246,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "",
         "equilibrium:",
         simulator.serialize_spectrum(
-            simulator.stick_spectrum(eq, t, scheme), cfg.ascii_bars
+            simulator.stick_spectrum(eq, t), cfg.ascii_bars
         ),
         "",
         "final:",
         simulator.serialize_spectrum(
-            simulator.stick_spectrum(fin, t, scheme), cfg.ascii_bars
+            simulator.stick_spectrum(fin, t), cfg.ascii_bars
         ),
     ]
     print("\n".join(parts))
@@ -376,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except TruthTableError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_FORMAT
-    except (RelabelError, SynthesisError) as exc:
+    except SynthesisError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_SYNTHESIS
     except OSError as exc:

@@ -2,10 +2,11 @@
 
 An optimal scheme places every multi-element chain on levels that are
 pulse-connected, so each set of L states needs exactly L - 1 pulses.  On
-the chain this means contiguous segments; on the hypercube the chains are
-embedded as paths by interchanging labels, starting from conventional
-labeling.  A further variant places 4-cycles on squares in a zig-zag
-order whose pulse factorization packs into fewer simultaneous rounds.
+the chain this means contiguous segments.  On the hypercube a greedy
+descent embeds the chains as paths near conventional labeling, and where
+it dead-ends they are laid along the reflected Gray code, a Hamiltonian
+path, so placement never fails.  A further variant places 4-cycles on
+squares in a zig-zag order that packs into fewer simultaneous rounds.
 """
 
 from __future__ import annotations
@@ -15,18 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .permutation import MaximalSetDecomposition, bit_string
+from .permutation import MaximalSetDecomposition
 from .topology import (
     QUADRUPOLAR_CHAIN,
     SPIN_HALF_HYPERCUBE,
     Labeling,
     Topology,
+    gray_labeling,
 )
 
 __all__ = [
     "SetPlacement",
     "LabelingScheme",
-    "RelabelError",
     "ols_quadrupolar",
     "enumerate_ols_quadrupolar",
     "relabel_pairswap_spin_half",
@@ -64,22 +65,12 @@ class LabelingScheme:
     """
 
     labeling: Labeling
-    provenance: str
     placements: tuple[SetPlacement, ...] | None = None
 
 
-class RelabelError(RuntimeError):
-    """No label rearrangement embeds a chain into the topology."""
-
-    def __init__(self, chain: tuple[int, ...], n_qubits: int):
-        self.chain = chain
-        kets = " -> ".join("|{}>".format(bit_string(s, n_qubits)) for s in chain)
-        super().__init__("chain not embeddable as a transition path: {}".format(kets))
-
-
-def fixed_scheme(labeling: Labeling, provenance: str) -> LabelingScheme:
+def fixed_scheme(labeling: Labeling) -> LabelingScheme:
     """Wrap a fixed labeling (no per-set placements) as a scheme."""
-    return LabelingScheme(labeling, provenance, None)
+    return LabelingScheme(labeling)
 
 
 def _placement_order(d: MaximalSetDecomposition) -> list[int]:
@@ -87,10 +78,13 @@ def _placement_order(d: MaximalSetDecomposition) -> list[int]:
     return sorted(range(len(d.sets)), key=lambda i: (-len(d.sets[i]), i))
 
 
+def _multi_sets(d: MaximalSetDecomposition) -> list[int]:
+    return [i for i in _placement_order(d) if len(d.sets[i]) > 1]
+
+
 def _scheme_from_segments(
     d: MaximalSetDecomposition,
     t: Topology,
-    provenance: str,
     segment_levels: dict[int, tuple[int, ...]],
     styles: dict[int, str] | None = None,
 ) -> LabelingScheme:
@@ -102,7 +96,7 @@ def _scheme_from_segments(
             level_to_label[level] = state
         placements.append(SetPlacement(levels, (styles or {}).get(i, PATH)))
     labeling = Labeling(t.n_qubits, tuple(level_to_label))
-    return LabelingScheme(labeling, provenance, tuple(placements))
+    return LabelingScheme(labeling, tuple(placements))
 
 
 def ols_quadrupolar(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
@@ -122,7 +116,7 @@ def ols_quadrupolar(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
         length = len(d.sets[i])
         segments[i] = tuple(range(cursor, cursor + length))
         cursor += length
-    return _scheme_from_segments(d, t, "ols", segments)
+    return _scheme_from_segments(d, t, segments)
 
 
 def enumerate_ols_quadrupolar(
@@ -151,7 +145,7 @@ def enumerate_ols_quadrupolar(
                 seg = tuple(range(cursor, cursor + length))
                 segments[i] = seg[::-1] if i in descending else seg
                 cursor += length
-            yield _scheme_from_segments(d, t, "ols", segments)
+            yield _scheme_from_segments(d, t, segments)
             produced += 1
             if limit is not None and produced >= limit:
                 return
@@ -180,56 +174,64 @@ def _preference(
 def _embed_chains(
     d: MaximalSetDecomposition,
     t: Topology,
+    order: list[int],
     blocked: set[int] | None = None,
-) -> dict[int, tuple[int, ...]] | tuple[int, ...]:
-    """Embed every multi-element chain on vertex-disjoint topology paths.
+) -> dict[int, tuple[int, ...]] | None:
+    """Embed the multi-element chains ``order`` on vertex-disjoint paths.
 
-    Returns the per-set level paths, or the chain at which the search
-    got stuck.  The search backtracks fully, so failure means no
-    assignment of labels to (unblocked) levels makes every chain
-    pulse-connected.
+    One greedy descent without backtracking: each chain in turn starts
+    on the best-ranked free (unblocked) level and grows through the
+    best-ranked free neighbour.  Returns the per-set level paths, or
+    None at the first dead end.
     """
-    order = [i for i in _placement_order(d) if len(d.sets[i]) > 1]
     used: set[int] = set(blocked or ())
+    placed: set[int] = set()
     paths: dict[int, tuple[int, ...]] = {}
-    deepest = 0
+    for i in order:
+        chain = d.sets[i].chain
+        remaining = set(chain)
+        free = (lv for lv in range(t.level_count) if lv not in used)
+        path = [min(free, key=lambda lv: _preference(lv, chain[0], remaining, placed))]
+        used.add(path[0])
+        for prev, label in zip(chain, chain[1:]):
+            remaining.discard(prev)
+            cands = [u for u in t.neighbors[path[-1]] if u not in used]
+            if not cands:
+                return None
+            path.append(min(cands, key=lambda u: _preference(u, label, remaining, placed)))
+            used.add(path[-1])
+        paths[i] = tuple(path)
+        placed.update(chain)
+    return paths
 
-    def extend(chain: tuple[int, ...], pos: int, prefix: list[int], placed: set[int]) -> bool:
-        if pos == len(chain):
-            return True
-        cur = prefix[-1]
-        remaining = set(chain[pos:])
-        cands = [u for u in t.neighbors[cur] if u not in used and u not in prefix]
-        cands.sort(key=lambda u: _preference(u, chain[pos], remaining, placed))
-        for u in cands:
-            prefix.append(u)
-            if extend(chain, pos + 1, prefix, placed):
-                return True
-            prefix.pop()
-        return False
 
-    def place(idx: int, placed: set[int]) -> bool:
-        nonlocal deepest
-        if idx == len(order):
-            return True
-        deepest = max(deepest, idx)
-        chain = d.sets[order[idx]].chain
-        starts = [lv for lv in range(t.level_count) if lv not in used]
-        starts.sort(key=lambda lv: _preference(lv, chain[0], set(chain), placed))
-        for start in starts:
-            prefix = [start]
-            if extend(chain, 1, prefix, placed):
-                paths[order[idx]] = tuple(prefix)
-                used.update(prefix)
-                if place(idx + 1, placed | set(chain)):
-                    return True
-                used.difference_update(prefix)
-                del paths[order[idx]]
-        return False
+def _gray_scheme(
+    d: MaximalSetDecomposition, t: Topology, zigzag: bool = False
+) -> LabelingScheme:
+    """Lay the chains, largest first, on consecutive reflected Gray positions.
 
-    if place(0, set()):
-        return paths
-    return d.sets[order[deepest]].chain
+    Position k is level k ^ (k >> 1) and neighbouring positions differ in
+    one bit, so every chain lands on a transition path.  With ``zigzag``
+    the 4-cycles go first, one per aligned block 4j..4j+3: a square whose
+    path flips bit 0, bit 1, bit 0, so each takes the zig-zag order.
+    """
+    order = _multi_sets(d)
+    if zigzag:
+        order.sort(key=lambda i: len(d.sets[i]) != 4)
+    gray = gray_labeling(t).level_to_label
+    segments: dict[int, tuple[int, ...]] = {}
+    styles: dict[int, str] = {}
+    k = 0
+    for i in order:
+        levels = gray[k : k + len(d.sets[i])]
+        k += len(levels)
+        if zigzag and len(levels) == 4:
+            v1, v2, v3, v4 = levels
+            levels = (v1, v3, v4, v2)
+            styles[i] = ZIGZAG
+        segments[i] = levels
+    _fill_singletons(d, t, segments)
+    return _scheme_from_segments(d, t, segments, styles)
 
 
 def relabel_pairswap_spin_half(
@@ -239,19 +241,20 @@ def relabel_pairswap_spin_half(
 
     Starting from conventional labeling, labels are interchanged until
     consecutive chain elements of every maximal set sit on hypercube
-    edges.  The search prefers swaps that keep labels at or near their
-    conventional levels and backtracks when a greedy choice dead-ends.
+    edges.  One greedy descent prefers swaps that keep labels at or near
+    their conventional levels; if it dead-ends, the whole scheme is
+    built on the reflected Gray code instead, which always succeeds but
+    relabels most levels.
     """
     if t.kind != SPIN_HALF_HYPERCUBE:
         raise ValueError("pair-swap relabeling applies to the spin-1/2 hypercube")
     if (1 << d.n_qubits) != t.level_count:
         raise ValueError("decomposition size does not match topology size")
-    result = _embed_chains(d, t)
-    if isinstance(result, tuple):
-        raise RelabelError(result, d.n_qubits)
-    segments = dict(result)
+    segments = _embed_chains(d, t, _multi_sets(d))
+    if segments is None:
+        return _gray_scheme(d, t)
     _fill_singletons(d, t, segments)
-    return _scheme_from_segments(d, t, "relabeled_pairswap", segments)
+    return _scheme_from_segments(d, t, segments)
 
 
 def _fill_singletons(
@@ -291,6 +294,9 @@ def relabel_parallel_spin_half(
     into the two outer (level-disjoint) pulses followed by the middle
     one.  Pairs go on free edges and singletons keep their conventional
     levels, letting the scheduler pack all outer pulses into one round.
+    Chains the square and edge rules cannot place are embedded as paths
+    by the greedy descent; if that dead-ends, the whole scheme is built
+    on the reflected Gray code instead, with every 4-cycle a zig-zag.
     """
     if t.kind != SPIN_HALF_HYPERCUBE:
         raise ValueError("parallel relabeling applies to the spin-1/2 hypercube")
@@ -303,10 +309,8 @@ def relabel_parallel_spin_half(
     leftovers: list[int] = []
     bits = [1 << b for b in range(t.n_qubits)]
 
-    for i in _placement_order(d):
+    for i in _multi_sets(d):
         mset = d.sets[i]
-        if len(mset) == 1:
-            continue
         placed = False
         if len(mset) == 4:
             anchors = [mset.chain[0]] + [
@@ -336,20 +340,12 @@ def relabel_parallel_spin_half(
         if not placed:
             leftovers.append(i)
 
-    if leftovers:
-        # fall back to path embedding for chains the zig-zag rule cannot place
-        sub = MaximalSetDecomposition(
-            d.n_qubits, tuple(d.sets[i] for i in leftovers)
-        )
-        partial = _embed_chains(sub, t, blocked=used)
-        if isinstance(partial, tuple):
-            raise RelabelError(partial, d.n_qubits)
-        for j, i in enumerate(leftovers):
-            segments[i] = partial[j]
-            used.update(partial[j])
-
+    paths = _embed_chains(d, t, leftovers, blocked=used)
+    if paths is None:
+        return _gray_scheme(d, t, zigzag=True)
+    segments.update(paths)
     _fill_singletons(d, t, segments)
-    return _scheme_from_segments(d, t, "parallel", segments, styles=styles)
+    return _scheme_from_segments(d, t, segments, styles)
 
 
 def serialize_labeling(labeling: Labeling, t: Topology) -> str:

@@ -264,7 +264,8 @@ def builtin_operation(name: str, n_qubits: int | None = None) -> Permutation:
     """Build one of the named operations.
 
     Accepted names: ``fulladder4``, ``identity`` / ``identity:N`` and
-    ``swap:i,j`` (1-based qubit indices, x1 the most significant bit).
+    ``swap:i,j`` (two different 1-based qubit indices, x1 the most
+    significant bit).
     ``swap`` needs ``n_qubits``; ``identity:N`` carries its own size.
     """
     name = name.strip()
@@ -291,6 +292,8 @@ def builtin_operation(name: str, n_qubits: int | None = None) -> Permutation:
             raise ValueError(
                 "qubit index out of range for {} qubits: swap:{},{}".format(n_qubits, i, j)
             )
+        if i == j:
+            raise ValueError("swap needs two different qubit indices: swap:{},{}".format(i, j))
         size = 1 << n_qubits
         return Permutation(
             n_qubits, tuple(_swap_bits(x, i, j, n_qubits) for x in range(size))

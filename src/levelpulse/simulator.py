@@ -156,7 +156,7 @@ def verify_permutation(
     return Verdict(not problems, tuple(realized), tuple(phases), problems)
 
 
-def equilibrium_populations(t: Topology, scheme: LabelingScheme | None = None) -> np.ndarray:
+def equilibrium_populations(t: Topology) -> np.ndarray:
     """Deviation populations at thermal equilibrium.
 
     Each level's population counts its spin-up content: N/2 minus the
@@ -198,9 +198,7 @@ class Stick:
     intensity: int
 
 
-def stick_spectrum(
-    pop: np.ndarray, t: Topology, scheme: LabelingScheme | None = None
-) -> tuple[Stick, ...]:
+def stick_spectrum(pop: np.ndarray, t: Topology) -> tuple[Stick, ...]:
     """One stick per transition, intensity = population difference.
 
     The lower-index endpoint comes first.  Hypercube sticks are grouped

@@ -529,11 +529,11 @@ def scheme_for(
 ) -> LabelingScheme:
     """Build the named labeling scheme for a decomposition."""
     if name == "cl":
-        return fixed_scheme(conventional_labeling(t), "conventional")
+        return fixed_scheme(conventional_labeling(t))
     if name == "gray":
         if t.kind != QUADRUPOLAR_CHAIN:
             raise ValueError("gray labeling applies to the quadrupolar chain only")
-        return fixed_scheme(gray_labeling(t), "gray")
+        return fixed_scheme(gray_labeling(t))
     if name == "ols":
         return ols_quadrupolar(d, t)
     if name == "pairswap":

@@ -139,7 +139,7 @@ def test_criterion_4_matrix_fixtures(full_adder):
     sub_chain = u[np.ix_(rows, rows)]
 
     cube = build_topology(SPIN_HALF_HYPERCUBE, 4)
-    cl = fixed_scheme(conventional_labeling(cube), "conventional")
+    cl = fixed_scheme(conventional_labeling(cube))
     seq_cube = synthesize_fixed_labeling(full_adder, cl, cube)
     u_cube = sequence_unitary(seq_cube.pulses[:3], 16)
     sub_cube = u_cube[np.ix_([4, 5, 6, 7], [4, 5, 6, 7])]
@@ -177,7 +177,7 @@ def test_criterion_5_random_tables_compile_verify():
             ).passed
 
             for topo in (chain, cube):
-                cl = fixed_scheme(conventional_labeling(topo), "conventional")
+                cl = fixed_scheme(conventional_labeling(topo))
                 seq = synthesize_fixed_labeling(p, cl, topo)
                 ok = ok and verify_permutation(
                     sequence_product(seq), p, cl
@@ -204,10 +204,10 @@ def test_criterion_6_scheduling(full_adder):
 def test_criterion_7_spectrum(full_adder):
     cube = build_topology(SPIN_HALF_HYPERCUBE, 4)
     scheme = relabel_parallel_spin_half(maximal_sets(full_adder), cube)
-    eq = equilibrium_populations(cube, scheme)
-    eq_sticks = stick_spectrum(eq, cube, scheme)
+    eq = equilibrium_populations(cube)
+    eq_sticks = stick_spectrum(eq, cube)
     fin = final_populations(eq, full_adder, scheme)
-    fin_sticks = stick_spectrum(fin, cube, scheme)
+    fin_sticks = stick_spectrum(fin, cube)
     before = {(s.spin, s.transition): s.intensity for s in eq_sticks}
     after = {(s.spin, s.transition): s.intensity for s in fin_sticks}
     ok = all(v == 1 for v in before.values())
@@ -241,7 +241,7 @@ def test_criterion_8_brute_force_oracle():
     for kind in (QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE):
         t = build_topology(kind, 2)
         oracle = _oracle_shortest_lengths(t)
-        cl = fixed_scheme(conventional_labeling(t), "conventional")
+        cl = fixed_scheme(conventional_labeling(t))
         for mapping in itertools.permutations(range(4)):
             p = Permutation(2, mapping)
             seq = synthesize_fixed_labeling(p, cl, t)

@@ -266,6 +266,7 @@ def test_enumerate_with_limit_and_show():
         ("enumerate", "fulladder4", "--limit", "0"),
         ("enumerate", "fulladder4", "--show", "-1"),
         ("compile", "--depth-cap", "-1", "fulladder4"),
+        ("compile", "--qubits", "2", "swap:1,1"),
     ],
 )
 def test_hard_edges_exit_2_without_traceback(args):

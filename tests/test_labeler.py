@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelpulse import (
     Permutation,
@@ -21,9 +23,11 @@ from levelpulse import (
     relabel_parallel_spin_half,
     serialize_labeling,
     schedule_rounds,
+    sequence_product,
     synthesize_scheme,
+    verify_permutation,
 )
-from levelpulse.labeler import PATH, ZIGZAG
+from levelpulse.labeler import PATH, ZIGZAG, SetPlacement, _embed_chains, _multi_sets
 
 
 def random_permutation(n_qubits, rng):
@@ -209,6 +213,71 @@ def test_parallel_random_small_systems():
             d = maximal_sets(p)
             scheme = relabel_parallel_spin_half(d, t)
             assert len(synthesize_scheme(d, scheme, t)) == min_pulse_count(d)
+
+
+@pytest.mark.parametrize("relabel", [relabel_pairswap_spin_half, relabel_parallel_spin_half])
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(4, 10), seed=st.integers(0, 2**32 - 1))
+def test_hypercube_placement_random_tables(relabel, n, seed):
+    p = random_permutation(n, random.Random(seed))
+    d = maximal_sets(p)
+    t = build_topology(SPIN_HALF_HYPERCUBE, n)
+    scheme = relabel(d, t)
+    expected_rounds = 0
+    for mset, placement in zip(d.sets, scheme.placements):
+        levels = placement.levels
+        if placement.style == ZIGZAG:
+            # chain v1 -> v3 -> v4 -> v2 on the square v1-v2-v3-v4
+            v1, v3, v4, v2 = levels
+            assert len(set(levels)) == 4
+            assert all(t.is_edge(a, b) for a, b in ((v1, v2), (v2, v3), (v3, v4), (v4, v1)))
+            expected_rounds = max(expected_rounds, 2)
+        else:
+            assert placement.style == PATH
+            assert all(t.is_edge(u, v) for u, v in zip(levels, levels[1:]))
+            expected_rounds = max(expected_rounds, len(mset) - 1)
+    seq = synthesize_scheme(d, scheme, t)
+    assert len(seq) == min_pulse_count(d)
+    scheduled = schedule_rounds(seq)
+    assert verify_permutation(sequence_product(scheduled), p, scheme).passed
+    assert len(scheduled.rounds) == expected_rounds
+
+
+def gray(k):
+    return k ^ (k >> 1)
+
+
+def incrementers6():
+    # x1 = 0: increment the low five bits (one 32-cycle);
+    # x1 = 1: increment the low two bits (eight 4-cycles)
+    def step(x):
+        return (x & ~3) | ((x + 1) & 3) if x & 32 else (x + 1) & 31
+
+    return Permutation(6, tuple(step(x) for x in range(64)))
+
+
+def test_pairswap_dead_end_falls_back_to_gray_path():
+    d = maximal_sets(incrementers6())
+    t = build_topology(SPIN_HALF_HYPERCUBE, 6)
+    assert _embed_chains(d, t, _multi_sets(d)) is None
+    scheme = relabel_pairswap_spin_half(d, t)
+    big, *quads = [pl for m, pl in zip(d.sets, scheme.placements) if len(m) > 1]
+    # largest first on consecutive Gray positions
+    assert big == SetPlacement(tuple(gray(k) for k in range(32)), PATH)
+    for j, placement in enumerate(quads):
+        assert placement == SetPlacement(tuple(gray(k) for k in range(32 + 4 * j, 36 + 4 * j)), PATH)
+
+
+def test_parallel_dead_end_puts_4_cycles_on_gray_squares():
+    d = maximal_sets(incrementers6())
+    t = build_topology(SPIN_HALF_HYPERCUBE, 6)
+    scheme = relabel_parallel_spin_half(d, t)
+    big, *quads = [pl for m, pl in zip(d.sets, scheme.placements) if len(m) > 1]
+    for j, placement in enumerate(quads):
+        v1, v2, v3, v4 = (gray(k) for k in range(4 * j, 4 * j + 4))
+        assert placement == SetPlacement((v1, v3, v4, v2), ZIGZAG)
+    assert big.levels == tuple(gray(k) for k in range(32, 64))
+    assert len(schedule_rounds(synthesize_scheme(d, scheme, t)).rounds) == 31
 
 
 def test_labeling_table_round_trip(full_adder):

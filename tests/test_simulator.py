@@ -121,7 +121,7 @@ def test_sequence_product_level_errors(pair):
 
 def test_verify_cycle_pass_with_phases():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    scheme = fixed_scheme(conventional_labeling(t), "conventional")
+    scheme = fixed_scheme(conventional_labeling(t))
     p = Permutation(2, (2, 3, 1, 0))
     verdict = verify_permutation(sequence_product([(1, 3), (1, 2), (0, 2)], 4), p, scheme)
     assert verdict.passed
@@ -131,7 +131,7 @@ def test_verify_cycle_pass_with_phases():
 
 def test_verify_identity():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    scheme = fixed_scheme(conventional_labeling(t), "conventional")
+    scheme = fixed_scheme(conventional_labeling(t))
     verdict = verify_permutation(sequence_product([], 4), Permutation.identity(2), scheme)
     assert verdict.passed
     assert verdict.phases == (1 + 0j,) * 4
@@ -139,7 +139,7 @@ def test_verify_identity():
 
 def test_verify_wrong_permutation_fails():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    scheme = fixed_scheme(conventional_labeling(t), "conventional")
+    scheme = fixed_scheme(conventional_labeling(t))
     three_cycle = Permutation(2, (1, 2, 0, 3))
     verdict = verify_permutation(sequence_product([(0, 1)], 4), three_cycle, scheme)
     assert not verdict.passed
@@ -149,7 +149,7 @@ def test_verify_wrong_permutation_fails():
 
 def test_verify_dimension_mismatch():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    scheme = fixed_scheme(conventional_labeling(t), "conventional")
+    scheme = fixed_scheme(conventional_labeling(t))
     with pytest.raises(ValueError, match="dimension"):
         verify_permutation(sequence_product([], 8), Permutation.identity(2), scheme)
 
@@ -173,7 +173,7 @@ def test_equilibrium_chain_two_qubits():
 
 def test_final_populations_identity():
     t = build_topology(SPIN_HALF_HYPERCUBE, 4)
-    scheme = fixed_scheme(conventional_labeling(t), "conventional")
+    scheme = fixed_scheme(conventional_labeling(t))
     eq = equilibrium_populations(t)
     fin = final_populations(eq, Permutation.identity(4), scheme)
     assert np.array_equal(fin, eq)
@@ -182,7 +182,7 @@ def test_final_populations_identity():
 def test_final_populations_preserve_multiset_random():
     rng = random.Random(4)
     t = build_topology(SPIN_HALF_HYPERCUBE, 3)
-    scheme = fixed_scheme(conventional_labeling(t), "conventional")
+    scheme = fixed_scheme(conventional_labeling(t))
     eq = equilibrium_populations(t)
     for _ in range(30):
         p = random_permutation(3, rng)
@@ -194,10 +194,10 @@ def test_final_populations_preserve_multiset_random():
 def test_adder_parallel_labeling_drops_one_transition(full_adder):
     t = build_topology(SPIN_HALF_HYPERCUBE, 4)
     scheme = relabel_parallel_spin_half(maximal_sets(full_adder), t)
-    eq = equilibrium_populations(t, scheme)
+    eq = equilibrium_populations(t)
     fin = final_populations(eq, full_adder, scheme)
-    before = {(s.spin, s.transition): s.intensity for s in stick_spectrum(eq, t, scheme)}
-    after = {(s.spin, s.transition): s.intensity for s in stick_spectrum(fin, t, scheme)}
+    before = {(s.spin, s.transition): s.intensity for s in stick_spectrum(eq, t)}
+    after = {(s.spin, s.transition): s.intensity for s in stick_spectrum(fin, t)}
     assert set(after.values()) <= {-2, -1, 0, 1, 2}
     flipped = [
         key for key in before

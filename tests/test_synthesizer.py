@@ -108,8 +108,8 @@ def test_on_path_rejects_non_path(full_adder):
 
 def test_fixed_labeling_chain_counts(full_adder):
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
-    cl = fixed_scheme(conventional_labeling(t), "conventional")
-    gray = fixed_scheme(gray_labeling(t), "gray")
+    cl = fixed_scheme(conventional_labeling(t))
+    gray = fixed_scheme(gray_labeling(t))
     assert len(synthesize_fixed_labeling(full_adder, cl, t)) == 12
     assert len(synthesize_fixed_labeling(full_adder, gray, t)) == 12
     q = compose(full_adder, builtin_operation("swap:2,4", 4))
@@ -119,7 +119,7 @@ def test_fixed_labeling_chain_counts(full_adder):
 
 def test_fixed_labeling_hypercube_adder(full_adder):
     t = build_topology(SPIN_HALF_HYPERCUBE, 4)
-    cl = fixed_scheme(conventional_labeling(t), "conventional")
+    cl = fixed_scheme(conventional_labeling(t))
     seq = synthesize_fixed_labeling(full_adder, cl, t)
     assert len(seq) == 8
     # first cycle is realized by the outer pulses then the bridging one
@@ -134,7 +134,7 @@ def test_reordered_factorization_same_operator():
     # on the square, the chain product equals the reordered bridge product
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     lab = conventional_labeling(t)
-    scheme = fixed_scheme(lab, "conventional")
+    scheme = fixed_scheme(lab)
     chain_track = [(1, 3), (1, 2), (0, 2)]
     u_chain = sequence_unitary(chain_track, 4)
     reordered = [(1, 3), (0, 2), (0, 1)]
@@ -150,11 +150,8 @@ def test_chain_fixed_labeling_length_is_inversion_count():
     rng = random.Random(55)
     for n in (2, 3, 4):
         t = build_topology(QUADRUPOLAR_CHAIN, n)
-        for labeling, name in (
-            (conventional_labeling(t), "conventional"),
-            (gray_labeling(t), "gray"),
-        ):
-            scheme = fixed_scheme(labeling, name)
+        for labeling in (conventional_labeling(t), gray_labeling(t)):
+            scheme = fixed_scheme(labeling)
             for _ in range(20):
                 p = random_permutation(n, rng)
                 sigma = [
@@ -176,7 +173,7 @@ def test_fixed_labeling_verifies_random_tables():
     for n in (2, 3):
         for kind in (QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE):
             t = build_topology(kind, n)
-            scheme = fixed_scheme(conventional_labeling(t), "conventional")
+            scheme = fixed_scheme(conventional_labeling(t))
             for _ in range(40):
                 p = random_permutation(n, rng)
                 seq = synthesize_fixed_labeling(p, scheme, t)
@@ -192,7 +189,7 @@ def test_fixed_labeling_depth_cap(full_adder):
     mapping[0], mapping[15] = 15, 0
     p = Permutation(4, tuple(mapping))
     t = build_topology(SPIN_HALF_HYPERCUBE, 4)
-    scheme = fixed_scheme(conventional_labeling(t), "conventional")
+    scheme = fixed_scheme(conventional_labeling(t))
     with pytest.raises(SynthesisError, match="routing failed"):
         synthesize_fixed_labeling(p, scheme, t, depth_cap=3)
     seq = synthesize_fixed_labeling(p, scheme, t, depth_cap=7)
@@ -323,7 +320,7 @@ def naive_schedule(seq):
 def test_schedule_matches_pairwise_reference_chain_random():
     rng = random.Random(5)
     t = build_topology(QUADRUPOLAR_CHAIN, 5)
-    scheme = fixed_scheme(conventional_labeling(t), "conventional")
+    scheme = fixed_scheme(conventional_labeling(t))
     for _ in range(5):
         seq = synthesize_fixed_labeling(random_permutation(5, rng), scheme, t)
         scheduled = schedule_rounds(seq)
