@@ -10,8 +10,8 @@ Operations are given as truth-table files or as the built-in names
 right.  All output is deterministic: the same configuration and inputs
 give byte-identical reports.
 
-Exit codes: 0 success, 2 parse or format error, 3 routing search
-exceeded its depth cap, 4 verification failure.
+Exit codes: 0 success, 2 parse or format error, 3 routed program
+longer than ``--depth-cap`` pulses, 4 verification failure.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "TruthTableError",
@@ -23,6 +23,7 @@ __all__ = [
     "bit_string",
     "parse_truth_table",
     "compose",
+    "cycles",
     "maximal_sets",
     "min_pulse_count",
     "count_optimal_labelings",
@@ -195,6 +196,32 @@ def compose(first: Permutation, second: Permutation) -> Permutation:
     )
 
 
+def cycles(
+    mapping: Sequence[int] | Mapping[int, int], starts: Iterable[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Cycles of a mapping through the given start points, fixed points included.
+
+    Each cycle begins at the first of ``starts`` it contains and follows
+    the mapping from there; cycles appear in the order of those first
+    elements.  ``starts`` defaults to every index of a sequence.
+    """
+    if starts is None:
+        starts = range(len(mapping))
+    seen: set[int] = set()
+    out = []
+    for start in starts:
+        if start in seen:
+            continue
+        chain = [start]
+        nxt = mapping[start]
+        while nxt != start:
+            chain.append(nxt)
+            nxt = mapping[nxt]
+        seen.update(chain)
+        out.append(tuple(chain))
+    return out
+
+
 def maximal_sets(p: Permutation) -> MaximalSetDecomposition:
     """Decompose a permutation into its maximal sets (orbit chains).
 
@@ -202,20 +229,8 @@ def maximal_sets(p: Permutation) -> MaximalSetDecomposition:
     follows the permutation until it closes.  The resulting sets are
     mutually exclusive and cover every state exactly once.
     """
-    covered = [False] * p.size
-    sets = []
-    for start in range(p.size):
-        if covered[start]:
-            continue
-        chain = [start]
-        covered[start] = True
-        nxt = p.mapping[start]
-        while nxt != start:
-            chain.append(nxt)
-            covered[nxt] = True
-            nxt = p.mapping[nxt]
-        sets.append(MaximalSet(tuple(chain)))
-    return MaximalSetDecomposition(p.n_qubits, tuple(sets))
+    sets = tuple(MaximalSet(chain) for chain in cycles(p.mapping))
+    return MaximalSetDecomposition(p.n_qubits, sets)
 
 
 def min_pulse_count(d: MaximalSetDecomposition) -> int:

@@ -4,11 +4,12 @@ Placement-backed schemes (optimal chain labeling, hypercube relabelings)
 synthesize per maximal set: a chain of L states on a transition path
 needs L - 1 pulses applied in reverse chain order.  Fixed labelings
 (conventional, gray) instead route each state to its destination with a
-minimal product of edge transpositions.  On the chain that minimum is
+product of edge transpositions.  On the chain that product is minimal:
 the inversion count of the induced level permutation, achieved by a
-bubble factorization; on the hypercube small systems use an exact
-breadth-first search over the whole permutation group and larger ones a
-per-set search with a configurable depth cap.
+bubble factorization.  On the hypercube an orbit factors into |S| - 1
+pulses exactly when it passes a non-crossing-tree test; other orbits
+take one detour through an outside level or a token-swapping router, so
+the count is then an upper bound.  Every step is polynomial.
 
 Pulses are always pi rotations about y on a single transition.  A pulse
 sequence also carries its partition into simultaneous rounds: pulses in
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .labeler import (
     ZIGZAG,
@@ -37,6 +37,7 @@ from .permutation import (
     bit_string,
     builtin_operation,
     compose,
+    cycles,
     maximal_sets,
 )
 from .topology import (
@@ -120,17 +121,16 @@ def _unscheduled(n_qubits: int, pulses: list[Pulse]) -> PulseSequence:
 
 
 class SynthesisError(RuntimeError):
-    """Routing search exceeded its depth cap."""
+    """A routed fixed-labeling program is longer than its depth cap."""
 
-    def __init__(self, chain: tuple[int, ...], n_qubits: int, cap: int, best: int | None):
-        self.chain = chain
+    def __init__(self, pulses: int, cap: int):
+        self.pulses = pulses
         self.depth_cap = cap
-        self.best_depth = best
-        kets = ",".join("|{}>".format(bit_string(s, n_qubits)) for s in chain)
-        detail = "no factorization within depth {}".format(cap)
-        if best is not None:
-            detail += " (best known {})".format(best)
-        super().__init__("routing failed for set {{{}}}: {}".format(kets, detail))
+        super().__init__(
+            "routing failed: the routed program has {} pulses, over the depth cap {}".format(
+                pulses, cap
+            )
+        )
 
 
 def _pulse(t: Topology, labeling: Labeling, a: int, b: int) -> Pulse:
@@ -219,197 +219,173 @@ def _bubble_pulses(sigma: tuple[int, ...]) -> list[tuple[int, int]]:
     return swaps
 
 
-def _cycles_of(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = [False] * len(sigma)
-    cycles = []
-    for start in range(len(sigma)):
-        if seen[start] or sigma[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = sigma[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = sigma[nxt]
-        cycles.append(tuple(cyc))
-    return cycles
+def _displacement(cycle: tuple[int, ...]) -> int:
+    """Hypercube steps the populations of a cycle must travel in total."""
+    return sum((a ^ b).bit_count() for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def _splits_into_tree(cycle: tuple[int, ...], t: Topology) -> bool:
+    """Whether a hypercube cycle is a product of len - 1 edge transpositions.
+
+    It is exactly when its levels, on a circle in cycle order, carry a
+    non-crossing spanning tree of topology edges (the tree property of
+    minimal cycle factorizations; Goulden and Yong, JCTA 2002).  Interval
+    DP over positions l..r in O(k^2 N): N[l][r] when l..r carry such a
+    tree, T[l][m] when l..m carry one containing the chord (l, m), with
+    T[l][m] = edge(l, m) and N[l][x] and N[x+1][m] for some x, and
+    N[l][r] = T[l][m] and N[m][r] for some neighbour m <= r of l.
+    """
+    k = len(cycle)
+    # each pulse moves two populations one step, so k - 1 pulses move 2k - 2
+    if _displacement(cycle) > 2 * k - 2:
+        return False
+    pos = {lv: i for i, lv in enumerate(cycle)}
+    row = [0] * k  # row[l] has bit r when N[l][r]
+    col = [1 << r for r in range(k)]  # col[r] has bit l when N[l][r]
+    for l in range(k - 1, -1, -1):
+        row[l] = 1 << l
+        near = sum(1 << pos[v] for v in t.neighbors[cycle[l]] if pos.get(v, l) > l)
+        chords = 0  # bit m when T[l][m]
+        for r in range(l + 1, k):
+            if near >> r & 1 and row[l] & col[r] >> 1:
+                chords |= 1 << r
+            if chords & col[r]:
+                row[l] |= 1 << r
+                col[r] |= 1 << l
+    return bool(row[0] >> (k - 1) & 1)
 
 
 def _exact_cycle_pulses(
     cycle: tuple[int, ...], t: Topology
 ) -> list[tuple[int, int]] | None:
-    """Factor one cycle into exactly len - 1 edge transpositions.
+    """Factor one hypercube cycle into exactly len - 1 edge transpositions.
 
-    At this depth every transposition must split a cycle of the
-    remaining permutation, and no level outside the cycle's support can
-    be touched, so the search runs over support-internal edges only.
+    Each pulse splits one remaining cycle in two.  Support-internal edges
+    are tried in lexicographic order and the first split whose halves
+    both pass ``_splits_into_tree`` is taken, so nothing backtracks.
     Returns None when the cycle needs more pulses on this topology.
     """
+    if not _splits_into_tree(cycle, t):
+        return None
     support = sorted(cycle)
-    edges = [
-        (a, b)
-        for a, b in itertools.combinations(support, 2)
-        if t.is_edge(a, b)
-    ]
-    target = {lv: lv for lv in support}
-    for i, lv in enumerate(cycle):
-        target[lv] = cycle[(i + 1) % len(cycle)]
+    members = set(cycle)
+    edges = [(a, b) for a in support for b in t.neighbors[a] if b > a and b in members]
+    rho = dict(zip(cycle, cycle[1:] + cycle[:1]))
 
-    def cycles_by_level(rho: dict[int, int]) -> dict[int, int]:
-        comp = {}
-        cid = 0
-        for start in support:
-            if start in comp:
-                continue
-            cur = start
-            while cur not in comp:
-                comp[cur] = cid
-                cur = rho[cur]
-            cid += 1
-        return comp
-
-    out: list[tuple[int, int]] = []
-
-    def dfs(rho: dict[int, int], budget: int) -> bool:
-        if budget == 0:
-            return all(rho[lv] == lv for lv in support)
-        comp = cycles_by_level(rho)
-        for a, b in edges:
-            if comp[a] != comp[b] or rho[a] == a or rho[b] == b:
-                continue
-            rho[a], rho[b] = rho[b], rho[a]
-            out.append((a, b))
-            if dfs(rho, budget - 1):
-                return True
-            out.pop()
-            rho[a], rho[b] = rho[b], rho[a]
+    def splits(a: int, b: int) -> bool:
+        rho[a], rho[b] = rho[b], rho[a]
+        if all(_splits_into_tree(half, t) for half in cycles(rho, (a, b))):
+            return True
+        rho[a], rho[b] = rho[b], rho[a]
         return False
 
-    if dfs(dict(target), len(cycle) - 1):
-        return out
+    out: list[tuple[int, int]] = []
+    for _ in range(len(cycle) - 1):
+        owner = {lv: i for i, orbit in enumerate(cycles(rho, support)) for lv in orbit}
+        out.append(next((a, b) for a, b in edges if owner[a] == owner[b] and splits(a, b)))
+    return out
+
+
+def _detour_pulses(
+    cycle: tuple[int, ...], t: Topology
+) -> list[tuple[int, int]] | None:
+    """Route one hypercube cycle in len + 1 pulses through one outside level.
+
+    The first pulse swaps some c_i with a neighbour v outside the cycle;
+    the rest factor the longer cycle with v inserted after c_i exactly.
+    Candidates go in lexicographic order of that first edge.  Returns
+    None when no detour works; any len + 1 pulses must move the
+    populations at most 2 len + 2 steps, which is checked first.
+    """
+    if _displacement(cycle) > 2 * len(cycle) + 2:
+        return None
+    members = set(cycle)
+    detours = sorted(
+        ((min(c, v), max(c, v)), i, v)
+        for i, c in enumerate(cycle)
+        for v in t.neighbors[c]
+        if v not in members
+    )
+    for first, i, v in detours:
+        rest = _exact_cycle_pulses(cycle[: i + 1] + (v,) + cycle[i + 1 :], t)
+        if rest is not None:
+            return [first] + rest
     return None
 
 
-@lru_cache(maxsize=8)
-def _cayley_distances(kind: str, n_qubits: int) -> dict[tuple[int, ...], int]:
-    """Breadth-first distances from identity in the edge-transposition graph.
+def _route_tokens(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
+    """Edge transpositions carrying every population home on the hypercube.
 
-    Feasible up to 3 qubits (8! states); cached per topology.
+    Token swapping after Miltzow et al. (ESA 2016): do every happy swap
+    (both populations move closer); otherwise follow closer-neighbour
+    pointers from the first misplaced level until they close a ring,
+    which is rotated, or reach a settled population, which takes one
+    unhappy swap.  Happy swaps and rings shorten the total distance.  An
+    unhappy swap keeps it, unsettles one population and settles none
+    (the level entered is the settled population's home), so runs of
+    them are finite and the router always ends.
     """
-    from collections import deque
-
-    t = Topology(kind, n_qubits)
-    ident = tuple(range(t.level_count))
-    dist = {ident: 0}
-    queue = deque([ident])
-    while queue:
-        s = queue.popleft()
-        d = dist[s]
-        for a, b in t.edges:
-            child = list(s)
-            for i in range(len(child)):
-                if child[i] == a:
-                    child[i] = b
-                elif child[i] == b:
-                    child[i] = a
-            key = tuple(child)
-            if key not in dist:
-                dist[key] = d + 1
-                queue.append(key)
-    return dist
-
-
-def _apply_last(sigma: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    # product after appending the pulse (a, b) as the final one
-    return tuple(b if x == a else a if x == b else x for x in sigma)
-
-
-def _cayley_witness(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
-    dist = _cayley_distances(t.kind, t.n_qubits)
-    pulses: list[tuple[int, int]] = []
-    cur = sigma
-    while dist[cur] > 0:
-        for a, b in t.edges:
-            nxt = _apply_last(cur, a, b)
-            if dist[nxt] == dist[cur] - 1:
-                pulses.append((a, b))
-                cur = nxt
-                break
-    return pulses[::-1]
-
-
-def _displacement_bound(rho: dict[int, int]) -> int:
-    displaced = [lv for lv, tgt in rho.items() if lv != tgt]
-    if not displaced:
-        return 0
-    comp: dict[int, int] = {}
-    cid = 0
-    for start in displaced:
-        if start in comp:
-            continue
-        cur = start
-        while cur not in comp:
-            comp[cur] = cid
-            cur = rho[cur]
-        cid += 1
-    return len(displaced) - cid
-
-
-def _capped_cycle_pulses(
-    cycle: tuple[int, ...], t: Topology, cap: int
-) -> list[tuple[int, int]] | tuple[None, int | None]:
-    """Iterative-deepening search allowing transit through outside levels.
-
-    Outside levels may be occupied mid-sequence but must return to
-    identity.  Depths run from the cycle lower bound up to ``cap``;
-    returns the pulse list, or (None, best bound reached) on failure.
-    """
-    from .topology import single_quantum_distance
-
-    target: dict[int, int] = {}
-    for i, lv in enumerate(cycle):
-        target[lv] = cycle[(i + 1) % len(cycle)]
-
+    goal = list(sigma)  # goal[lv]: destination of the population now on lv
+    bits = [1 << i for i in range(t.n_qubits)]
     out: list[tuple[int, int]] = []
 
-    def lower_bound(rho: dict[int, int]) -> tuple[int, int]:
-        split = _displacement_bound(rho)
-        total = sum(
-            single_quantum_distance(t, lv, tgt) for lv, tgt in rho.items() if lv != tgt
-        )
-        return max(split, (total + 1) // 2), split
+    def swap(a: int, b: int) -> None:
+        goal[a], goal[b] = goal[b], goal[a]
+        out.append((min(a, b), max(a, b)))
 
-    def dfs(rho: dict[int, int], budget: int) -> bool:
-        bound, split = lower_bound(rho)
-        if bound > budget:
-            return False
-        # each pulse flips the permutation parity, so the slack must be even
-        if (budget - split) % 2:
-            return False
-        if budget == 0:
-            return True
-        displaced = {lv for lv, tgt in rho.items() if lv != tgt}
-        grown = displaced | set(cycle)
-        for a, b in t.edges:
-            if a not in grown and b not in grown:
-                continue
-            ra, rb = rho.get(a, a), rho.get(b, b)
-            rho[a], rho[b] = rb, ra
-            out.append((a, b))
-            if dfs(rho, budget - 1):
-                return True
-            out.pop()
-            rho[a], rho[b] = ra, rb
-        return False
+    def pointer(u: int) -> int:
+        # a closer neighbour, one holding a misplaced population if any
+        closer = [u ^ bit for bit in bits if (u ^ goal[u]) & bit]
+        return next((v for v in closer if goal[v] != v), closer[0])
 
-    lower = len(cycle) - 1
-    for depth in range(lower, cap + 1):
-        out.clear()
-        if dfs(dict(target), depth):
+    todo = [lv for lv, g in enumerate(goal) if g != lv]
+    while True:
+        while todo:
+            a = todo.pop()
+            for bit in bits:
+                b = a ^ bit
+                if (a ^ goal[a]) & bit and (b ^ goal[b]) & bit:
+                    swap(a, b)
+                    todo += [a, b]
+                    break
+        start = next((lv for lv, g in enumerate(goal) if g != lv), None)
+        if start is None:
             return out
-    return (None, None)
+        path, seen = [start], {start: 0}
+        while True:
+            v = pointer(path[-1])
+            if goal[v] == v:
+                swap(path[-1], v)
+                todo = [path[-1], v]
+                break
+            if v in seen:
+                ring = path[seen[v] :]
+                for a, b in reversed(list(zip(ring, ring[1:]))):
+                    swap(a, b)
+                todo = ring
+                break
+            seen[v] = len(path)
+            path.append(v)
+
+
+def _hypercube_pulses(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
+    orbits = [c for c in cycles(sigma) if len(c) > 1]
+    raw: list[tuple[int, int]] = []
+    for cyc in orbits:
+        got = _exact_cycle_pulses(cyc, t)
+        if got is None:
+            got = _detour_pulses(cyc, t)
+        if got is None:
+            alone = list(range(len(sigma)))
+            for lv in cyc:
+                alone[lv] = sigma[lv]
+            got = _route_tokens(tuple(alone), t)
+        raw.extend(got)
+    if len(raw) > sum(len(c) - 1 for c in orbits):
+        whole = _route_tokens(sigma, t)
+        if len(whole) < len(raw):
+            return whole
+    return raw
 
 
 def synthesize_fixed_labeling(
@@ -423,47 +399,24 @@ def synthesize_fixed_labeling(
     The emitted product of edge transpositions realizes the population
     permutation.  On the chain the sequence is the bubble factorization
     of the induced level permutation (inversion-count minimal).  On the
-    hypercube each orbit is first tried at its lower bound of |S| - 1
-    pulses; if some orbit needs more, systems of up to 3 qubits fall
-    back to an exact search over the whole group, larger ones to a
-    per-orbit deepening search bounded by ``depth_cap``.
+    hypercube each orbit takes the first of: an exact factorization into
+    |S| - 1 pulses, when the orbit passes the non-crossing-tree test;
+    |S| + 1 pulses through one outside level; the token-swapping router
+    on that orbit alone.  If that spends more than the sum of |S| - 1,
+    the router also runs on the whole permutation and the shorter
+    program is kept (the per-orbit one on a tie).  So the hypercube count
+    is minimal when every orbit passes the tree test and otherwise an
+    upper bound.  Every step is polynomial.  A program longer than
+    ``depth_cap`` pulses raises ``SynthesisError``.
     """
     labeling = scheme.labeling
     sigma = labeling.induced(p)
     if t.kind == QUADRUPOLAR_CHAIN:
         raw = _bubble_pulses(sigma)
-        return _unscheduled(t.n_qubits, [_pulse(t, labeling, a, b) for a, b in raw])
-
-    cycles = _cycles_of(sigma)
-    per_set: list[list[tuple[int, int]]] = []
-    exact = True
-    for cyc in cycles:
-        got = _exact_cycle_pulses(cyc, t)
-        if got is None:
-            exact = False
-            break
-        per_set.append(got)
-    if exact:
-        raw = [pq for chunk in per_set for pq in chunk]
-        return _unscheduled(t.n_qubits, [_pulse(t, labeling, a, b) for a, b in raw])
-
-    if t.n_qubits <= 3:
-        raw = _cayley_witness(sigma, t)
-        return _unscheduled(t.n_qubits, [_pulse(t, labeling, a, b) for a, b in raw])
-
-    # large system: per-orbit search with transit, depth-capped
-    n_p = sum(len(c) - 1 for c in cycles)
-    cap = depth_cap if depth_cap is not None else 2 * n_p
-    raw = []
-    for cyc in cycles:
-        got = _exact_cycle_pulses(cyc, t)
-        if got is None:
-            found = _capped_cycle_pulses(cyc, t, cap)
-            if isinstance(found, tuple):
-                labels = tuple(labeling.label_of(lv) for lv in cyc)
-                raise SynthesisError(labels, t.n_qubits, cap, found[1])
-            got = found
-        raw.extend(got)
+    else:
+        raw = _hypercube_pulses(sigma, t)
+    if depth_cap is not None and len(raw) > depth_cap:
+        raise SynthesisError(len(raw), depth_cap)
     return _unscheduled(t.n_qubits, [_pulse(t, labeling, a, b) for a, b in raw])
 
 

@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelpulse import (
     Permutation,
@@ -29,6 +32,12 @@ from levelpulse import (
     synthesize_on_path,
     synthesize_scheme,
     verify_permutation,
+)
+from levelpulse.permutation import cycles
+from levelpulse.synthesizer import (
+    _detour_pulses,
+    _exact_cycle_pulses,
+    _splits_into_tree,
 )
 
 # product operator of the three pulses cycling a 4-state chain, written in
@@ -326,3 +335,135 @@ def test_schedule_matches_pairwise_reference_chain_random():
         scheduled = schedule_rounds(seq)
         assert (scheduled.pulses, scheduled.rounds) == naive_schedule(seq)
         assert sequence_product(scheduled) == sequence_product(seq)
+
+
+def naive_exact_cycle_pulses(cycle, t):
+    # backtracking reference: depth-first search over support-internal edges
+    # in lexicographic order, each pulse splitting a cycle of the remainder
+    support = sorted(cycle)
+    edges = [(a, b) for a, b in itertools.combinations(support, 2) if t.is_edge(a, b)]
+    rho = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    out = []
+
+    def dfs(budget):
+        if budget == 0:
+            return all(rho[lv] == lv for lv in support)
+        owner = {lv: i for i, orbit in enumerate(cycles(rho, support)) for lv in orbit}
+        for a, b in edges:
+            if owner[a] != owner[b]:
+                continue
+            rho[a], rho[b] = rho[b], rho[a]
+            out.append((a, b))
+            if dfs(budget - 1):
+                return True
+            out.pop()
+            rho[a], rho[b] = rho[b], rho[a]
+        return False
+
+    return out if dfs(len(cycle) - 1) else None
+
+
+def test_exact_cycles_match_backtracking_reference():
+    cube3 = build_topology(SPIN_HALF_HYPERCUBE, 3)
+    exact = 0
+    for k in range(2, 7):
+        for subset in itertools.combinations(range(8), k):
+            for rest in itertools.permutations(subset[1:]):
+                cyc = (subset[0],) + rest
+                got = _exact_cycle_pulses(cyc, cube3)
+                assert got == naive_exact_cycle_pulses(cyc, cube3), cyc
+                exact += got is not None
+    assert exact > 1000  # both outcomes are exercised
+    cube4 = build_topology(SPIN_HALF_HYPERCUBE, 4)
+    rng = random.Random(4)
+    for _ in range(1500):
+        # mostly-adjacent walks, so that many of these cycles factor exactly
+        cyc = [rng.randrange(16)]
+        for _ in range(rng.randint(1, 7)):
+            nxt = cyc[-1] ^ (1 << rng.randrange(4)) if rng.random() < 0.8 else rng.randrange(16)
+            if nxt not in cyc:
+                cyc.append(nxt)
+        cyc = tuple(cyc)
+        assert _exact_cycle_pulses(cyc, cube4) == naive_exact_cycle_pulses(cyc, cube4), cyc
+
+
+def test_tree_test_small_cases():
+    square = build_topology(SPIN_HALF_HYPERCUBE, 2)
+    assert _splits_into_tree((0, 1), square)
+    assert not _splits_into_tree((0, 3), square)
+    assert _splits_into_tree((0, 1, 3, 2), square)
+    cube = build_topology(SPIN_HALF_HYPERCUBE, 3)
+    # the only spanning tree of {0, 1, 2, 5, 6} is the path 5-1-0-2-6; in the
+    # order 0 -> 1 -> 2 -> 6 -> 5 its chords 0-2 and 1-5 cross
+    assert not _splits_into_tree((0, 1, 2, 6, 5), cube)
+    assert _splits_into_tree((0, 1, 5, 2, 6), cube)
+
+
+def test_detour_routes_adder_swap_cycle(full_adder):
+    t = build_topology(SPIN_HALF_HYPERCUBE, 4)
+    scheme = fixed_scheme(conventional_labeling(t))
+    q = compose(full_adder, builtin_operation("swap:2,4", 4))
+    cyc = (1, 4, 3, 6, 5, 7)
+    assert cyc in cycles(scheme.labeling.induced(q))
+    assert _exact_cycle_pulses(cyc, t) is None
+    pulses = _detour_pulses(cyc, t)
+    assert len(pulses) == 7
+    assert pulses[0] == (0, 1)
+    mapping = list(range(16))
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        mapping[a] = b
+    assert sequence_product(pulses, 16)[0] == tuple(mapping)
+
+
+def _edge_product(n, swaps):
+    # level permutation of a product of hypercube edge transpositions
+    mapping = list(range(1 << n))
+    for lv, bit in swaps:
+        lv %= 1 << n
+        other = lv ^ (1 << (bit % n))
+        mapping[lv], mapping[other] = mapping[other], mapping[lv]
+    return Permutation(n, tuple(mapping))
+
+
+def _fixed_scheme_tables(max_n):
+    shuffled = st.builds(
+        random_permutation, st.integers(2, max_n), st.randoms(use_true_random=False)
+    )
+    # products of a few random edge transpositions: small, mostly exact cycles
+    local = st.integers(2, max_n).flatmap(
+        lambda n: st.builds(
+            _edge_product,
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, 1023), st.integers(0, 9)), max_size=1 << n),
+        )
+    )
+    return st.one_of(shuffled, local)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(p=_fixed_scheme_tables(8))
+def test_hypercube_cl_random_tables(p):
+    t = build_topology(SPIN_HALF_HYPERCUBE, p.n_qubits)
+    scheme = fixed_scheme(conventional_labeling(t))
+    seq = synthesize_fixed_labeling(p, scheme, t)
+    assert all(t.is_edge(*pulse.levels) for pulse in seq.pulses)
+    assert verify_permutation(sequence_product(schedule_rounds(seq)), p, scheme).passed
+    orbits = cycles(p.mapping)
+    distance = sum((lv ^ p(lv)).bit_count() for lv in range(p.size))
+    assert len(seq) >= max(p.size - len(orbits), (distance + 1) // 2)
+    if all(_splits_into_tree(orbit, t) for orbit in orbits):
+        assert len(seq) == p.size - len(orbits)
+
+
+@pytest.mark.parametrize("labeling", [conventional_labeling, gray_labeling])
+@settings(max_examples=25, deadline=None, database=None)
+@given(p=_fixed_scheme_tables(7))
+def test_chain_fixed_random_tables(labeling, p):
+    t = build_topology(QUADRUPOLAR_CHAIN, p.n_qubits)
+    scheme = fixed_scheme(labeling(t))
+    seq = synthesize_fixed_labeling(p, scheme, t)
+    assert all(t.is_edge(*pulse.levels) for pulse in seq.pulses)
+    assert verify_permutation(sequence_product(schedule_rounds(seq)), p, scheme).passed
+    sigma = scheme.labeling.induced(p)
+    inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+    assert len(seq) == inversions
