@@ -5,8 +5,9 @@ pulse-connected, so each set of L states needs exactly L - 1 pulses.  On
 the chain this means contiguous segments.  On the hypercube a greedy
 descent embeds the chains as paths near conventional labeling, and where
 it dead-ends they are laid along the reflected Gray code, a Hamiltonian
-path, so placement never fails.  A further variant places 4-cycles on
-squares in a zig-zag order that packs into fewer simultaneous rounds.
+path, so placement never fails.  The parallel variant puts every chain
+on its path in bipartite Coxeter order, so the whole operation runs in
+at most two simultaneous rounds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .permutation import MaximalSetDecomposition
 from .topology import (
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 PATH = "path"
-ZIGZAG = "zigzag"
+COXETER = "coxeter"
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,25 @@ class SetPlacement:
     """Levels assigned to one maximal set, in chain-element order.
 
     ``style`` records how the synthesizer realizes the cycle: ``path``
-    placements keep consecutive chain elements on adjacent levels,
-    ``zigzag`` placements put a 4-cycle on a square so that two of its
-    three pulses are level-disjoint.
+    placements keep consecutive chain elements on adjacent levels;
+    ``coxeter`` placements put chain element j on position 2j of a
+    transition path while 2j < L and on position 2(L - 1 - j) + 1 after
+    that, so the even-position edges pulsed together, then the odd ones,
+    realize the chain.
     """
 
     levels: tuple[int, ...]
     style: str = PATH
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        """The transition path the levels lie on, in path order."""
+        if self.style != COXETER:
+            return self.levels
+        half = (len(self.levels) + 1) // 2
+        path = list(self.levels)
+        path[0::2], path[1::2] = self.levels[:half], self.levels[half:][::-1]
+        return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -86,15 +99,19 @@ def _scheme_from_segments(
     d: MaximalSetDecomposition,
     t: Topology,
     segment_levels: dict[int, tuple[int, ...]],
-    styles: dict[int, str] | None = None,
+    style: str = PATH,
 ) -> LabelingScheme:
+    # segments are transition paths; coxeter order walks the even
+    # positions out and the odd positions back
     level_to_label = [-1] * t.level_count
     placements = []
     for i, mset in enumerate(d.sets):
         levels = segment_levels[i]
+        if style == COXETER:
+            levels = levels[0::2] + levels[1::2][::-1]
         for state, level in zip(mset.chain, levels):
             level_to_label[level] = state
-        placements.append(SetPlacement(levels, (styles or {}).get(i, PATH)))
+        placements.append(SetPlacement(levels, style))
     labeling = Labeling(t.n_qubits, tuple(level_to_label))
     return LabelingScheme(labeling, tuple(placements))
 
@@ -206,32 +223,22 @@ def _embed_chains(
 
 
 def _gray_scheme(
-    d: MaximalSetDecomposition, t: Topology, zigzag: bool = False
+    d: MaximalSetDecomposition, t: Topology, style: str = PATH
 ) -> LabelingScheme:
     """Lay the chains, largest first, on consecutive reflected Gray positions.
 
     Position k is level k ^ (k >> 1) and neighbouring positions differ in
-    one bit, so every chain lands on a transition path.  With ``zigzag``
-    the 4-cycles go first, one per aligned block 4j..4j+3: a square whose
-    path flips bit 0, bit 1, bit 0, so each takes the zig-zag order.
+    one bit, so every chain lands on a transition path, taken in ``style``
+    order.
     """
-    order = _multi_sets(d)
-    if zigzag:
-        order.sort(key=lambda i: len(d.sets[i]) != 4)
     gray = gray_labeling(t).level_to_label
     segments: dict[int, tuple[int, ...]] = {}
-    styles: dict[int, str] = {}
     k = 0
-    for i in order:
-        levels = gray[k : k + len(d.sets[i])]
-        k += len(levels)
-        if zigzag and len(levels) == 4:
-            v1, v2, v3, v4 = levels
-            levels = (v1, v3, v4, v2)
-            styles[i] = ZIGZAG
-        segments[i] = levels
+    for i in _multi_sets(d):
+        segments[i] = gray[k : k + len(d.sets[i])]
+        k += len(d.sets[i])
     _fill_singletons(d, t, segments)
-    return _scheme_from_segments(d, t, segments, styles)
+    return _scheme_from_segments(d, t, segments, style)
 
 
 def relabel_pairswap_spin_half(
@@ -275,28 +282,23 @@ def _fill_singletons(
         segments[i] = (free.pop(0),)
 
 
-def _zigzag_square(anchor: int, bit_a: int, bit_b: int) -> tuple[int, int, int, int]:
-    # path v1 - v2 - v3 - v4 alternating the two flip directions
-    v1 = anchor
-    v2 = v1 ^ bit_a
-    v3 = v2 ^ bit_b
-    v4 = v3 ^ bit_a
-    return v1, v2, v3, v4
-
-
 def relabel_parallel_spin_half(
     d: MaximalSetDecomposition, t: Topology
 ) -> LabelingScheme:
-    """Relabel for maximal simultaneous pulsing on the hypercube.
+    """Relabel so the whole operation runs in at most two rounds.
 
-    Each 4-cycle is placed on a square in zig-zag order: the chain runs
-    v1 -> v3 -> v4 -> v2 along a path v1-v2-v3-v4, so the cycle factors
-    into the two outer (level-disjoint) pulses followed by the middle
-    one.  Pairs go on free edges and singletons keep their conventional
-    levels, letting the scheduler pack all outer pulses into one round.
-    Chains the square and edge rules cannot place are embedded as paths
-    by the greedy descent; if that dead-ends, the whole scheme is built
-    on the reflected Gray code instead, with every 4-cycle a zig-zag.
+    Every chain goes on a transition path v_0 ... v_(L-1) in bipartite
+    Coxeter order: chain element j on v_(2j) while 2j < L and on
+    v_(2(L-1-j)+1) after that.  Pulsing the even-position edges in one
+    round and the odd-position edges in the next then realizes the
+    L-cycle (the product is the bipartite Coxeter element of S_L), and
+    sets on disjoint paths share both rounds.  Two rounds are the
+    minimum for any set of three or more states, because one round of
+    disjoint swaps is an involution.  4-cycles go on squares v1-v2-v3-v4
+    (chain v1, v3, v4, v2), pairs on free edges and singletons keep
+    their conventional levels.  Chains the square and edge rules cannot
+    place are embedded as paths by the greedy descent; if that
+    dead-ends, the whole scheme is built on the reflected Gray code.
     """
     if t.kind != SPIN_HALF_HYPERCUBE:
         raise ValueError("parallel relabeling applies to the spin-1/2 hypercube")
@@ -305,47 +307,35 @@ def relabel_parallel_spin_half(
 
     used: set[int] = set()
     segments: dict[int, tuple[int, ...]] = {}
-    styles: dict[int, str] = {}
     leftovers: list[int] = []
     bits = [1 << b for b in range(t.n_qubits)]
 
     for i in _multi_sets(d):
-        mset = d.sets[i]
-        placed = False
-        if len(mset) == 4:
-            anchors = [mset.chain[0]] + [
-                lv for lv in range(t.level_count) if lv != mset.chain[0]
-            ]
-            for v1 in anchors:
-                if placed:
-                    break
-                for bit_a, bit_b in itertools.permutations(bits, 2):
-                    square = _zigzag_square(v1, bit_a, bit_b)
-                    if len(set(square)) == 4 and not used.intersection(square):
-                        v1_, v2, v3, v4 = square
-                        segments[i] = (v1_, v3, v4, v2)
-                        styles[i] = ZIGZAG
-                        used.update(square)
-                        placed = True
-                        break
-        elif len(mset) == 2:
-            a, b = mset.chain
-            pairs = [(a, b)] + [e for e in t.edges if e != (min(a, b), max(a, b))]
-            for u, v in pairs:
-                if t.is_edge(u, v) and u not in used and v not in used:
-                    segments[i] = (u, v)
-                    used.update((u, v))
-                    placed = True
-                    break
-        if not placed:
+        chain = d.sets[i].chain
+        cands: Iterable[tuple[int, ...]] = ()
+        if len(chain) == 4:
+            # squares alternating two flip directions, anchored at the first label first
+            anchors = [chain[0]] + [lv for lv in range(t.level_count) if lv != chain[0]]
+            cands = (
+                (v, v ^ bit_a, v ^ bit_a ^ bit_b, v ^ bit_b)
+                for v in anchors
+                for bit_a, bit_b in itertools.permutations(bits, 2)
+            )
+        elif len(chain) == 2:
+            cands = itertools.chain([chain] if t.is_edge(*chain) else [], t.edges)
+        path = next((c for c in cands if used.isdisjoint(c)), None)
+        if path is None:
             leftovers.append(i)
+        else:
+            segments[i] = path
+            used.update(path)
 
     paths = _embed_chains(d, t, leftovers, blocked=used)
     if paths is None:
-        return _gray_scheme(d, t, zigzag=True)
+        return _gray_scheme(d, t, COXETER)
     segments.update(paths)
     _fill_singletons(d, t, segments)
-    return _scheme_from_segments(d, t, segments, styles)
+    return _scheme_from_segments(d, t, segments, COXETER)
 
 
 def serialize_labeling(labeling: Labeling, t: Topology) -> str:

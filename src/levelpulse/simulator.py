@@ -12,21 +12,26 @@ compares the levels and reports the phases without judging them.
 
 Populations use the high-temperature deviation model with equal unit
 steps per spin flip, which keeps every equilibrium and final population
-an exact small integer (or half-integer for odd N).  A stick spectrum
-assigns each transition the population difference across its edge.
+an exact small integer (or half-integer for odd N), held as a
+``Fraction``.  A stick spectrum assigns each transition the population
+difference across its edge, which is always an integer.  numpy is needed
+only by the dense fixture views ``pulse_unitary`` and
+``sequence_unitary``, which import it when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .labeler import LabelingScheme, _fmt_m
 from .permutation import Permutation
 from .synthesizer import Pulse, PulseSequence
 from .topology import QUADRUPOLAR_CHAIN, Topology
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "pulse_unitary",
@@ -66,6 +71,8 @@ def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
     Applying the pulse twice leaves a -1 phase on both levels (a 2 pi
     rotation) and the identity elsewhere.
     """
+    import numpy as np
+
     lo, hi = _ordered_levels(pulse, dim)
     m = np.eye(dim, dtype=complex)
     m[lo, lo] = m[hi, hi] = 0.0
@@ -111,6 +118,8 @@ def sequence_unitary(
     seq: "PulseSequence | Iterable[Pulse | tuple[int, int]]", dim: int | None = None
 ) -> np.ndarray:
     """Dense matrix of :func:`sequence_product`, for small fixtures."""
+    import numpy as np
+
     realized, phases = sequence_product(seq, dim)
     u = np.zeros((len(realized), len(realized)), dtype=complex)
     u[np.arange(len(realized)), realized] = phases
@@ -156,7 +165,7 @@ def verify_permutation(
     return Verdict(not problems, tuple(realized), tuple(phases), problems)
 
 
-def equilibrium_populations(t: Topology) -> np.ndarray:
+def equilibrium_populations(t: Topology) -> tuple[Fraction, ...]:
     """Deviation populations at thermal equilibrium.
 
     Each level's population counts its spin-up content: N/2 minus the
@@ -164,13 +173,13 @@ def equilibrium_populations(t: Topology) -> np.ndarray:
     value by exactly 1 and the populations sum to zero.  The labeling
     scheme does not enter; populations are physical per level.
     """
-    n = t.n_qubits
-    return np.array([n / 2 - bin(level).count("1") for level in range(t.level_count)])
+    half = Fraction(t.n_qubits, 2)
+    return tuple(half - level.bit_count() for level in range(t.level_count))
 
 
 def final_populations(
-    eq: np.ndarray, p: Permutation, scheme: LabelingScheme
-) -> np.ndarray:
+    eq: Sequence[Fraction], p: Permutation, scheme: LabelingScheme
+) -> tuple[Fraction, ...]:
     """Populations after the operation: each one moves with its state.
 
     The level ending up with output label y holds the population that
@@ -180,7 +189,7 @@ def final_populations(
     inv = [0] * len(sigma)
     for src, dst in enumerate(sigma):
         inv[dst] = src
-    return np.array([eq[inv[lv]] for lv in range(len(sigma))])
+    return tuple(eq[inv[lv]] for lv in range(len(sigma)))
 
 
 @dataclass(frozen=True)
@@ -198,7 +207,7 @@ class Stick:
     intensity: int
 
 
-def stick_spectrum(pop: np.ndarray, t: Topology) -> tuple[Stick, ...]:
+def stick_spectrum(pop: Sequence[Fraction], t: Topology) -> tuple[Stick, ...]:
     """One stick per transition, intensity = population difference.
 
     The lower-index endpoint comes first.  Hypercube sticks are grouped
@@ -212,7 +221,7 @@ def stick_spectrum(pop: np.ndarray, t: Topology) -> tuple[Stick, ...]:
             name = "{}->{}".format(
                 _fmt_m(t.magnetic_quantum_number(a)), _fmt_m(t.magnetic_quantum_number(b))
             )
-            sticks.append(Stick(0, name, a, b, _as_int(pop[a] - pop[b])))
+            sticks.append(Stick(0, name, a, b, int(pop[a] - pop[b])))
         return tuple(sticks)
     n = t.n_qubits
     for spin in range(1, n + 1):
@@ -224,15 +233,8 @@ def stick_spectrum(pop: np.ndarray, t: Topology) -> tuple[Stick, ...]:
             spectator = "".join(
                 str((a >> (n - s)) & 1) for s in range(1, n + 1) if s != spin
             )
-            sticks.append(Stick(spin, spectator, a, b, _as_int(pop[a] - pop[b])))
+            sticks.append(Stick(spin, spectator, a, b, int(pop[a] - pop[b])))
     return tuple(sticks)
-
-
-def _as_int(x: float) -> int:
-    r = round(float(x))
-    if abs(x - r) > 1e-12:
-        raise ValueError("stick intensity {} is not integral".format(x))
-    return int(r)
 
 
 def serialize_spectrum(sticks: Sequence[Stick], ascii_bars: bool = False) -> str:

@@ -2,14 +2,16 @@
 
 Placement-backed schemes (optimal chain labeling, hypercube relabelings)
 synthesize per maximal set: a chain of L states on a transition path
-needs L - 1 pulses applied in reverse chain order.  Fixed labelings
+needs L - 1 pulses, applied in reverse chain order, or for a chain in
+bipartite Coxeter order as the even-position path edges followed by the
+odd-position ones, which packs into two rounds.  Fixed labelings
 (conventional, gray) instead route each state to its destination with a
 product of edge transpositions.  On the chain that product is minimal:
-the inversion count of the induced level permutation, achieved by a
-bubble factorization.  On the hypercube an orbit factors into |S| - 1
-pulses exactly when it passes a non-crossing-tree test; other orbits
-take one detour through an outside level or a token-swapping router, so
-the count is then an upper bound.  Every step is polynomial.
+the inversion count of the induced level permutation, achieved by
+odd-even transposition sort.  On the hypercube an orbit factors into
+|S| - 1 pulses exactly when it passes a non-crossing-tree test; other
+orbits take one detour through an outside level or a token-swapping
+router, so the count is then an upper bound.  Every step is polynomial.
 
 Pulses are always pi rotations about y on a single transition.  A pulse
 sequence also carries its partition into simultaneous rounds: pulses in
@@ -23,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .labeler import (
-    ZIGZAG,
+    COXETER,
     LabelingScheme,
     fixed_scheme,
     ols_quadrupolar,
@@ -162,16 +164,14 @@ def synthesize_on_path(
     ]
 
 
-def _zigzag_pulses(
-    mset: MaximalSet, levels: tuple[int, ...], t: Topology, labeling: Labeling
+def _coxeter_pulses(
+    path: tuple[int, ...], t: Topology, labeling: Labeling
 ) -> list[Pulse]:
-    # levels lists the chain v1 -> v3 -> v4 -> v2 over the path v1-v2-v3-v4;
-    # the two outer pulses commute and are followed by the middle one
-    v1, v3, v4, v2 = levels
+    # the even-position edges of the path, then the odd-position ones
     return [
-        _pulse(t, labeling, v1, v2),
-        _pulse(t, labeling, v3, v4),
-        _pulse(t, labeling, v2, v3),
+        _pulse(t, labeling, path[i], path[i + 1])
+        for parity in (0, 1)
+        for i in range(parity, len(path) - 1, 2)
     ]
 
 
@@ -189,8 +189,8 @@ def synthesize_scheme(
     for mset, placement in zip(d.sets, scheme.placements):
         if len(mset) < 2:
             continue
-        if placement.style == ZIGZAG:
-            pulses.extend(_zigzag_pulses(mset, placement.levels, t, scheme.labeling))
+        if placement.style == COXETER:
+            pulses.extend(_coxeter_pulses(placement.path, t, scheme.labeling))
         else:
             pulses.extend(synthesize_on_path(mset, placement.levels, t, scheme.labeling))
     return _unscheduled(t.n_qubits, pulses)
@@ -200,22 +200,27 @@ def synthesize_scheme(
 # fixed-labeling routing
 
 
-def _bubble_pulses(sigma: tuple[int, ...]) -> list[tuple[int, int]]:
+def _odd_even_pulses(sigma: tuple[int, ...]) -> list[tuple[int, int]]:
     """Adjacent transpositions realizing sigma on a path, in pulse order.
 
-    Plain bubble sort of the one-line form; the swap count equals the
-    inversion count, which is the minimum for adjacent transpositions.
+    Odd-even transposition sort of the one-line form (Habermann 1972):
+    phases alternately compare the pairs (i, i + 1) with i even and with
+    i odd, and the sort stops after two quiet phases in a row.  Each swap
+    removes one inversion, so the count is the inversion count, the
+    minimum for adjacent transpositions; the swaps of one phase are
+    level-disjoint and at most 2^N phases are needed.
     """
     arr = list(sigma)
     swaps: list[tuple[int, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
+    parity, quiet = 0, 0
+    while quiet < 2:
+        quiet += 1
+        for i in range(parity, len(arr) - 1, 2):
             if arr[i] > arr[i + 1]:
                 arr[i], arr[i + 1] = arr[i + 1], arr[i]
                 swaps.append((i, i + 1))
-                changed = True
+                quiet = 0
+        parity ^= 1
     return swaps
 
 
@@ -397,8 +402,9 @@ def synthesize_fixed_labeling(
     """Route a permutation under an arbitrary bijective labeling.
 
     The emitted product of edge transpositions realizes the population
-    permutation.  On the chain the sequence is the bubble factorization
-    of the induced level permutation (inversion-count minimal).  On the
+    permutation.  On the chain the sequence is the odd-even transposition
+    sort of the induced level permutation (inversion-count minimal, and
+    each phase of level-disjoint swaps can share one round).  On the
     hypercube each orbit takes the first of: an exact factorization into
     |S| - 1 pulses, when the orbit passes the non-crossing-tree test;
     |S| + 1 pulses through one outside level; the token-swapping router
@@ -412,7 +418,7 @@ def synthesize_fixed_labeling(
     labeling = scheme.labeling
     sigma = labeling.induced(p)
     if t.kind == QUADRUPOLAR_CHAIN:
-        raw = _bubble_pulses(sigma)
+        raw = _odd_even_pulses(sigma)
     else:
         raw = _hypercube_pulses(sigma, t)
     if depth_cap is not None and len(raw) > depth_cap:

@@ -23,6 +23,14 @@ def run_cli(*args, cwd=None):
     )
 
 
+def test_import_loads_no_numpy():
+    # numpy is a test-only dependency; the runtime is the standard library
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = "import sys, levelpulse.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_compile_adder_optimal_chain():
     result = run_cli("compile", "--topology", "chain", "--labeling", "ols", "fulladder4")
     assert result.returncode == 0
@@ -199,6 +207,42 @@ def test_verify_golden_output(tmp_path):
         "realized: 0 1 2 3 7 4 5 6 11 8 9 10 13 12 15 14\n"
         "phases: +1 +1 +1 +1 -1 -1 +1 -1 -1 -1 +1 -1 +1 -1 +1 -1\n"
     )
+
+
+PARALLEL_ADDER_SWAP_PROGRAM = """\
+1  pi_y  4  5  # |0001> <-> |0111>
+1  pi_y  6  7  # |0101> <-> |0100>
+1  pi_y  12  14  # |0110> <-> |0011>
+1  pi_y  8  10  # |1000> <-> |1011>
+1  pi_y  9  11  # |1111> <-> |1010>
+1  pi_y  0  1  # |1110> <-> |1100>
+1  pi_y  2  3  # |1101> <-> |1001>
+2  pi_y  5  7  # |0111> <-> |0100>
+2  pi_y  6  14  # |0101> <-> |0011>
+2  pi_y  10  11  # |1011> <-> |1010>
+2  pi_y  1  9  # |1100> <-> |1111>
+2  pi_y  0  2  # |1110> <-> |1101>
+"""
+
+
+def test_compile_parallel_adder_swap_golden_two_rounds(tmp_path):
+    # the 4-cycles and pairs of adder then swap:2,4 all run in coxeter order
+    out = tmp_path / "build"
+    ops = ("fulladder4", "swap:2,4")
+    result = run_cli(
+        "compile", "--topology", "hypercube", "--labeling", "parallel", *ops,
+        "--output", str(out),
+    )
+    assert result.returncode == 0
+    assert "pulses: 12\nrounds: 2\n" in result.stdout
+    assert (out / "program.txt").read_text() == PARALLEL_ADDER_SWAP_PROGRAM
+    result = run_cli(
+        "verify", "--topology", "hypercube", *ops,
+        "--program", str(out / "program.txt"),
+        "--labeling-table", str(out / "labeling.txt"),
+    )
+    assert result.returncode == 0
+    assert "verdict: PASS" in result.stdout
 
 
 def test_spectrum_parallel_adder():

@@ -27,7 +27,7 @@ from levelpulse import (
     synthesize_scheme,
     verify_permutation,
 )
-from levelpulse.labeler import PATH, ZIGZAG, SetPlacement, _embed_chains, _multi_sets
+from levelpulse.labeler import COXETER, PATH, SetPlacement, _embed_chains, _multi_sets
 
 
 def random_permutation(n_qubits, rng):
@@ -191,7 +191,7 @@ def test_parallel_full_adder_round_structure(full_adder):
     scheme = relabel_parallel_spin_half(d, t)
     for mset, placement in zip(d.sets, scheme.placements):
         if len(mset) == 4:
-            assert placement.style == ZIGZAG
+            assert placement.style == COXETER
     seq = synthesize_scheme(d, scheme, t)
     assert len(seq) == 8
     assert schedule_rounds(seq).rounds == (6, 2)
@@ -215,6 +215,15 @@ def test_parallel_random_small_systems():
             assert len(synthesize_scheme(d, scheme, t)) == min_pulse_count(d)
 
 
+def coxeter_path(levels):
+    # chain element j sits on path position 2j while 2j < L, then on 2(L - 1 - j) + 1
+    size = len(levels)
+    path = [None] * size
+    for j, level in enumerate(levels):
+        path[2 * j if 2 * j < size else 2 * (size - 1 - j) + 1] = level
+    return tuple(path)
+
+
 @pytest.mark.parametrize("relabel", [relabel_pairswap_spin_half, relabel_parallel_spin_half])
 @settings(max_examples=30, deadline=None, database=None)
 @given(n=st.integers(4, 10), seed=st.integers(0, 2**32 - 1))
@@ -226,16 +235,16 @@ def test_hypercube_placement_random_tables(relabel, n, seed):
     expected_rounds = 0
     for mset, placement in zip(d.sets, scheme.placements):
         levels = placement.levels
-        if placement.style == ZIGZAG:
-            # chain v1 -> v3 -> v4 -> v2 on the square v1-v2-v3-v4
-            v1, v3, v4, v2 = levels
-            assert len(set(levels)) == 4
-            assert all(t.is_edge(a, b) for a, b in ((v1, v2), (v2, v3), (v3, v4), (v4, v1)))
-            expected_rounds = max(expected_rounds, 2)
+        if relabel is relabel_parallel_spin_half:
+            # every chain on a transition path in coxeter order: two rounds at most
+            assert placement.style == COXETER
+            levels = coxeter_path(levels)
+            assert placement.path == levels
+            expected_rounds = max(expected_rounds, min(len(mset) - 1, 2))
         else:
             assert placement.style == PATH
-            assert all(t.is_edge(u, v) for u, v in zip(levels, levels[1:]))
             expected_rounds = max(expected_rounds, len(mset) - 1)
+        assert all(t.is_edge(u, v) for u, v in zip(levels, levels[1:]))
     seq = synthesize_scheme(d, scheme, t)
     assert len(seq) == min_pulse_count(d)
     scheduled = schedule_rounds(seq)
@@ -273,11 +282,13 @@ def test_parallel_dead_end_puts_4_cycles_on_gray_squares():
     t = build_topology(SPIN_HALF_HYPERCUBE, 6)
     scheme = relabel_parallel_spin_half(d, t)
     big, *quads = [pl for m, pl in zip(d.sets, scheme.placements) if len(m) > 1]
+    # largest first on consecutive Gray positions, each in coxeter order
+    path = [gray(k) for k in range(32)]
+    assert big == SetPlacement(tuple(path[0::2] + path[1::2][::-1]), COXETER)
     for j, placement in enumerate(quads):
-        v1, v2, v3, v4 = (gray(k) for k in range(4 * j, 4 * j + 4))
-        assert placement == SetPlacement((v1, v3, v4, v2), ZIGZAG)
-    assert big.levels == tuple(gray(k) for k in range(32, 64))
-    assert len(schedule_rounds(synthesize_scheme(d, scheme, t)).rounds) == 31
+        v1, v2, v3, v4 = (gray(k) for k in range(32 + 4 * j, 36 + 4 * j))
+        assert placement == SetPlacement((v1, v3, v4, v2), COXETER)
+    assert len(schedule_rounds(synthesize_scheme(d, scheme, t)).rounds) == 2
 
 
 def test_labeling_table_round_trip(full_adder):

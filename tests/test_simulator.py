@@ -159,7 +159,7 @@ def test_equilibrium_hypercube_populations():
     eq = equilibrium_populations(t)
     assert eq[0] == 2  # all spins up
     assert eq[0b1111] == -2
-    assert eq.sum() == 0
+    assert sum(eq) == 0
     sticks = stick_spectrum(eq, t)
     assert len(sticks) == 32
     assert all(s.intensity == 1 for s in sticks)
@@ -188,7 +188,7 @@ def test_final_populations_preserve_multiset_random():
         p = random_permutation(3, rng)
         fin = final_populations(eq, p, scheme)
         assert sorted(fin) == sorted(eq)
-        assert fin.sum() == 0
+        assert sum(fin) == 0
 
 
 def test_adder_parallel_labeling_drops_one_transition(full_adder):

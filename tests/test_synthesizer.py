@@ -467,3 +467,30 @@ def test_chain_fixed_random_tables(labeling, p):
     sigma = scheme.labeling.induced(p)
     inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
     assert len(seq) == inversions
+
+
+@pytest.mark.parametrize("labeling", [conventional_labeling, gray_labeling])
+@settings(max_examples=25, deadline=None, database=None)
+@given(p=_fixed_scheme_tables(8))
+def test_chain_odd_even_rounds_random_tables(labeling, p):
+    # a population moving k levels needs k rounds; odd-even transposition
+    # sort needs at most 2^N phases and each phase fits in one round
+    t = build_topology(QUADRUPOLAR_CHAIN, p.n_qubits)
+    scheme = fixed_scheme(labeling(t))
+    scheduled = schedule_rounds(synthesize_fixed_labeling(p, scheme, t))
+    assert all(t.is_edge(*pulse.levels) for pulse in scheduled.pulses)
+    assert verify_permutation(sequence_product(scheduled), p, scheme).passed
+    sigma = scheme.labeling.induced(p)
+    assert len(scheduled) == sum(a > b for a, b in itertools.combinations(sigma, 2))
+    displacement = max(abs(dst - src) for src, dst in enumerate(sigma))
+    assert displacement <= len(scheduled.rounds) <= p.size
+
+
+def test_chain_rounds_can_exceed_displacement_plus_one():
+    t = build_topology(QUADRUPOLAR_CHAIN, 3)
+    p = Permutation(3, (0, 5, 6, 7, 2, 1, 3, 4))
+    scheduled = schedule_rounds(
+        synthesize_fixed_labeling(p, fixed_scheme(conventional_labeling(t)), t)
+    )
+    assert (len(scheduled), len(scheduled.rounds)) == (13, 7)
+    assert max(abs(p(lv) - lv) for lv in range(p.size)) == 4
