@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .permutation import MaximalSetDecomposition
@@ -139,12 +138,12 @@ def ols_quadrupolar(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
 def enumerate_ols_quadrupolar(
     d: MaximalSetDecomposition, t: Topology, limit: int | None = None
 ) -> Iterator[LabelingScheme]:
-    """Stream distinct optimal chain labelings.
+    """Stream the paper's family of optimal chain labelings.
 
-    Every ordering of the maximal sets along the chain is optimal, and
-    every multi-element set may run ascending or descending, so the
-    total count is M! * 2^k.  Schemes are generated lazily up to
-    ``limit`` (all of them when ``limit`` is None).
+    Every ordering of the maximal sets on contiguous segments is optimal,
+    and every multi-element set may run ascending or descending, giving
+    M! * 2^k schemes (``count_optimal_labelings``; the family, not every
+    optimal labeling).  Schemes are generated lazily up to ``limit``.
     """
     if t.kind != QUADRUPOLAR_CHAIN:
         raise ValueError("optimal chain labeling needs a quadrupolar chain topology")
@@ -344,34 +343,28 @@ def serialize_labeling(labeling: Labeling, t: Topology) -> str:
     Chain lines carry the magnetic quantum number in the middle column;
     hypercube lines have just the level index and label.
     """
-    lines = []
-    for level in range(t.level_count):
-        if t.kind == QUADRUPOLAR_CHAIN:
-            m = t.magnetic_quantum_number(level)
-            lines.append("{}  {}  {}".format(level, _fmt_m(m), labeling.label_bits(level)))
-        else:
-            lines.append("{}  {}".format(level, labeling.label_bits(level)))
-    return "\n".join(lines)
-
-
-def _fmt_m(m: Fraction) -> str:
-    sign = "+" if m >= 0 else ""
-    return "{}{}".format(sign, m)
+    if t.kind == QUADRUPOLAR_CHAIN:
+        return "\n".join(
+            "{}  {}  {}".format(level, t.m_text(level), labeling.label_bits(level))
+            for level in range(t.level_count)
+        )
+    return "\n".join(
+        "{}  {}".format(level, labeling.label_bits(level)) for level in range(t.level_count)
+    )
 
 
 def parse_labeling(text: str, t: Topology) -> Labeling:
     """Parse a labeling table produced by :func:`serialize_labeling`."""
     rows: dict[int, int] = {}
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) not in (2, 3):
             raise ValueError("bad labeling line {!r}".format(raw))
         level = int(parts[0])
         label_bits = parts[-1]
-        if len(label_bits) != t.n_qubits or any(c not in "01" for c in label_bits):
+        if len(label_bits) != t.n_qubits or label_bits.strip("01"):
             raise ValueError("bad label {!r} in line {!r}".format(label_bits, raw))
         if level in rows:
             raise ValueError("duplicate level {} in labeling table".format(level))

@@ -161,7 +161,7 @@ def parse_truth_table(text: str) -> Permutation:
         left, _, right = line.partition("->")
         src, dst = left.strip(), right.strip()
         for bits in (src, dst):
-            if len(bits) != n or any(c not in "01" for c in bits):
+            if len(bits) != n or bits.strip("01"):
                 raise TruthTableError(
                     "bad {}-bit string {!r} in line {!r}".format(n, bits, line)
                 )
@@ -239,11 +239,13 @@ def min_pulse_count(d: MaximalSetDecomposition) -> int:
 
 
 def count_optimal_labelings(d: MaximalSetDecomposition) -> int:
-    """Total number of optimal labeling schemes on a chain: M! * 2^k.
+    """Size of the paper's family of optimal chain labelings: M! * 2^k.
 
-    M is the number of maximal sets and k the number of sets with more
-    than one state.  Computed with exact big-integer arithmetic, so the
-    result never overflows.
+    The family puts each maximal set on a contiguous segment in chain
+    order or reversed; M is the number of sets and k the number with more
+    than one state.  Other labelings are optimal too once a set has three
+    or more states: M! * prod |S| * 2^(|S| - 2) over the sets with |S| >= 2
+    reach sum(|S| - 1) pulses.  Exact big-integer arithmetic throughout.
     """
     m = len(d.sets)
     k = d.multi_set_count()

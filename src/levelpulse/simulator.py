@@ -22,15 +22,16 @@ only by the dense fixture views ``pulse_unitary`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .labeler import LabelingScheme, _fmt_m
+from .labeler import LabelingScheme
 from .permutation import Permutation
 from .synthesizer import Pulse, PulseSequence
 from .topology import QUADRUPOLAR_CHAIN, Topology
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
@@ -51,16 +52,14 @@ def _ordered_levels(pulse: "Pulse | tuple[int, int]", dim: int) -> tuple[int, in
     # (level carrying the lower label, the other level); bare level pairs
     # use the levels themselves as labels
     if isinstance(pulse, Pulse):
-        a, b = pulse.levels
-        lo, hi = (a, b) if pulse.label_a < pulse.label_b else (b, a)
+        a, b, label_a, label_b = pulse
     else:
-        a, b = pulse
-        lo, hi = min(a, b), max(a, b)
+        a, b = label_a, label_b = pulse
     if a == b:
         raise ValueError("pulse levels must differ")
-    if not (0 <= min(a, b) and max(a, b) < dim):
+    if not (0 <= a < dim and 0 <= b < dim):
         raise ValueError("pulse levels ({}, {}) out of range for dim {}".format(a, b, dim))
-    return lo, hi
+    return (a, b) if label_a < label_b else (b, a)
 
 
 def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
@@ -173,6 +172,8 @@ def equilibrium_populations(t: Topology) -> tuple[Fraction, ...]:
     value by exactly 1 and the populations sum to zero.  The labeling
     scheme does not enter; populations are physical per level.
     """
+    from fractions import Fraction
+
     half = Fraction(t.n_qubits, 2)
     return tuple(half - level.bit_count() for level in range(t.level_count))
 
@@ -218,9 +219,7 @@ def stick_spectrum(pop: Sequence[Fraction], t: Topology) -> tuple[Stick, ...]:
     if t.kind == QUADRUPOLAR_CHAIN:
         for a in range(t.level_count - 1):
             b = a + 1
-            name = "{}->{}".format(
-                _fmt_m(t.magnetic_quantum_number(a)), _fmt_m(t.magnetic_quantum_number(b))
-            )
+            name = "{}->{}".format(t.m_text(a), t.m_text(b))
             sticks.append(Stick(0, name, a, b, int(pop[a] - pop[b])))
         return tuple(sticks)
     n = t.n_qubits

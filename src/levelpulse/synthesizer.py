@@ -21,8 +21,8 @@ changes the product operator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .labeler import (
     COXETER,
@@ -68,12 +68,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Pulse:
+class Pulse(NamedTuple):
     """A pi_y pulse on one single-quantum transition.
 
     ``level_a < level_b`` always; the labels are the scheme labels of the
-    two levels and only annotate the pulse.
+    two levels and only annotate the pulse.  A pulse is a named tuple, so
+    it compares equal to the plain tuple of its four fields.
     """
 
     level_a: int
@@ -91,8 +91,8 @@ class PulseSequence:
     """An ordered pulse list partitioned into simultaneous rounds.
 
     ``rounds`` holds the round sizes; flattening the rounds in order
-    reproduces the pulse list.  Unscheduled sequences have one pulse per
-    round.
+    reproduces the pulse list, and every round holds at least one pulse.
+    Unscheduled sequences have one pulse per round.
     """
 
     n_qubits: int
@@ -100,26 +100,25 @@ class PulseSequence:
     rounds: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if min(self.rounds, default=1) < 1:
+            raise ValueError("round sizes must be at least 1")
         if sum(self.rounds) != len(self.pulses):
             raise ValueError("round sizes must partition the pulse list")
-        for a, b in self.round_slices():
-            flat = [lv for pulse in self.pulses[a:b] for lv in pulse.levels]
-            if len(flat) != len(set(flat)):
-                raise ValueError("pulses within a round must not share a level")
+        round_of: dict[int, int] = {}  # level -> latest round pulsing it
+        end = 0
+        for rno, size in enumerate(self.rounds):
+            start, end = end, end + size
+            for a, b, _, _ in self.pulses[start:end]:
+                if a == b or round_of.get(a) == rno or round_of.get(b) == rno:
+                    raise ValueError("pulses within a round must not share a level")
+                round_of[a] = round_of[b] = rno
 
     def __len__(self) -> int:
         return len(self.pulses)
 
-    def round_slices(self) -> list[tuple[int, int]]:
-        out, start = [], 0
-        for size in self.rounds:
-            out.append((start, start + size))
-            start += size
-        return out
-
 
 def _unscheduled(n_qubits: int, pulses: list[Pulse]) -> PulseSequence:
-    return PulseSequence(n_qubits, tuple(pulses), tuple(1 for _ in pulses))
+    return PulseSequence(n_qubits, tuple(pulses), (1,) * len(pulses))
 
 
 class SynthesisError(RuntimeError):
@@ -136,10 +135,11 @@ class SynthesisError(RuntimeError):
 
 
 def _pulse(t: Topology, labeling: Labeling, a: int, b: int) -> Pulse:
-    a, b = min(a, b), max(a, b)
+    if a > b:
+        a, b = b, a
     if not t.is_edge(a, b):
         raise ValueError("levels ({}, {}) are not a single-quantum transition".format(a, b))
-    return Pulse(a, b, labeling.label_of(a), labeling.label_of(b))
+    return Pulse(a, b, labeling.level_to_label[a], labeling.level_to_label[b])
 
 
 def synthesize_on_path(
@@ -438,7 +438,7 @@ def schedule_rounds(seq: PulseSequence) -> PulseSequence:
     last_round = [0] * (1 << seq.n_qubits)  # 1-based; 0 = level not pulsed yet
     rounds: list[list[Pulse]] = []
     for pulse in seq.pulses:
-        a, b = pulse.levels
+        a, b = pulse[0], pulse[1]
         r = max(last_round[a], last_round[b])
         if r == len(rounds):
             rounds.append([])
@@ -553,19 +553,13 @@ def pulse_count_report(
 
 def serialize_pulse_program(seq: PulseSequence) -> str:
     """One line per pulse: round, pi_y, levels and the label annotation."""
-    lines = []
-    for (start, end), rno in zip(seq.round_slices(), itertools.count(1)):
-        for pulse in seq.pulses[start:end]:
-            lines.append(
-                "{}  pi_y  {}  {}  # |{}> <-> |{}>".format(
-                    rno,
-                    pulse.level_a,
-                    pulse.level_b,
-                    bit_string(pulse.label_a, seq.n_qubits),
-                    bit_string(pulse.label_b, seq.n_qubits),
-                )
-            )
-    return "\n".join(lines)
+    # a dict, so a label outside [0, 2^N) raises instead of indexing from the end
+    kets = {label: bit_string(label, seq.n_qubits) for label in range(1 << seq.n_qubits)}
+    rnos = (rno for rno, size in enumerate(seq.rounds, 1) for _ in range(size))
+    return "\n".join(
+        "{}  pi_y  {}  {}  # |{}> <-> |{}>".format(rno, a, b, kets[label_a], kets[label_b])
+        for rno, (a, b, label_a, label_b) in zip(rnos, seq.pulses)
+    )
 
 
 def parse_pulse_program(text: str, t: Topology, labeling: Labeling) -> PulseSequence:
@@ -576,14 +570,12 @@ def parse_pulse_program(text: str, t: Topology, labeling: Labeling) -> PulseSequ
     """
     entries: list[tuple[int, int, int]] = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 4 or parts[1] != "pi_y":
             raise ValueError("bad pulse line {!r}".format(raw))
-        rno, a, b = int(parts[0]), int(parts[2]), int(parts[3])
-        entries.append((rno, a, b))
+        entries.append((int(parts[0]), int(parts[2]), int(parts[3])))
     if not entries:
         return PulseSequence(t.n_qubits, (), ())
     rounds_seen = [r for r, _, _ in entries]

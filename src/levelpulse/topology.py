@@ -10,9 +10,11 @@ patterns differ in exactly one position, giving N * 2^(N-1) transitions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "QUADRUPOLAR_CHAIN",
@@ -68,14 +70,26 @@ class Topology:
         return tuple(tuple(sorted(v)) for v in adj)
 
     def is_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edge_set
+        # the range check matters: (-2, -1) passes both adjacency tests
+        n = 1 << self.n_qubits
+        if not (0 <= a < n and 0 <= b < n):
+            return False
+        if self.kind == QUADRUPOLAR_CHAIN:
+            return abs(a - b) == 1
+        return (a ^ b).bit_count() == 1
 
     def magnetic_quantum_number(self, level: int) -> Fraction:
         """m value of a chain level; the top level carries m = (2^N - 1)/2."""
+        from fractions import Fraction
+
         if self.kind != QUADRUPOLAR_CHAIN:
             raise ValueError("magnetic quantum numbers apply to the chain only")
         self._check_level(level)
         return Fraction(self.level_count - 1, 2) - level
+
+    def m_text(self, level: int) -> str:
+        """Text of ``magnetic_quantum_number``, e.g. ``+7/2``; 2^N - 1 - 2 level is odd."""
+        return "{:+d}/2".format(self.level_count - 1 - 2 * level)
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level < self.level_count:

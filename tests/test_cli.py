@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FULL_ADDER_DOC
+from levelpulse import cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -24,10 +29,14 @@ def run_cli(*args, cwd=None):
 
 
 def test_import_loads_no_numpy():
-    # numpy is a test-only dependency; the runtime is the standard library
+    # numpy is a test-only dependency; the runtime is the standard library,
+    # and fractions and decimal load only when exact populations are asked for
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    code = "import sys, levelpulse.cli; sys.exit('numpy' in sys.modules)"
+    code = (
+        "import sys, levelpulse.cli; "
+        "sys.exit(any(m in sys.modules for m in ('numpy', 'fractions', 'decimal')))"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -332,3 +341,47 @@ def test_deterministic_output(tmp_path):
     second = run_cli("compile", "--topology", "chain", "--labeling", "ols", str(doc))
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+SCHEME_PAIRS = (
+    ("chain", "ols"),
+    ("chain", "cl"),
+    ("chain", "gray"),
+    ("hypercube", "pairswap"),
+    ("hypercube", "parallel"),
+    ("hypercube", "cl"),
+)
+
+# sha256 over the compile and verify stdout of test_compile_verify_stdout_digest
+ROUND_TRIP_DIGEST = "1c9f14e383ed5be174ea7e523a9ae4e4b68c21aad30fd0d02f69604133f6205a"
+
+
+def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
+    # pins the labeling tables, pulse programs and verdicts of every scheme
+    # byte for byte: the adder, the adder then swap:2,4 and two seeded
+    # random tables per N = 2..6, each compiled and verified in-process
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(2026)
+    operations = [("fulladder4",), ("fulladder4", "swap:2,4")]
+    for n in range(2, 7):
+        for k in range(2):
+            mapping = list(range(1 << n))
+            rng.shuffle(mapping)
+            name = "random{}_{}.tt".format(n, k)
+            rows = ["{:0{n}b} -> {:0{n}b}\n".format(i, j, n=n) for i, j in enumerate(mapping)]
+            Path(name).write_text("qubits: {}\n{}".format(n, "".join(rows)))
+            operations.append((name,))
+    digest = hashlib.sha256()
+    for ops in operations:
+        for topology, labeling in SCHEME_PAIRS:
+            common = ["--topology", topology, *ops]
+            for argv in (
+                ["compile", "--labeling", labeling, "--output", "out", *common],
+                ["verify", "--program", "out/program.txt",
+                 "--labeling-table", "out/labeling.txt", *common],
+            ):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main(argv) == 0
+                digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == ROUND_TRIP_DIGEST

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -118,6 +119,41 @@ def test_enumerate_count_matches_formula_random_three_qubit():
         d = maximal_sets(p)
         count = sum(1 for _ in enumerate_ols_quadrupolar(d, t))
         assert count == count_optimal_labelings(d)
+
+
+def inversions(sigma):
+    return sum(x > y for i, x in enumerate(sigma) for y in sigma[i + 1 :])
+
+
+def test_optimal_chain_labelings_brute_force_three_qubits():
+    # all 8! chain labelings: those whose induced level permutation has
+    # sum(|S| - 1) inversions number M! * prod |S| * 2^(|S| - 2) over the
+    # sets with |S| >= 2, more than the enumerated family's M! * 2^k once a
+    # set has 3 or more states
+    t = build_topology(QUADRUPOLAR_CHAIN, 3)
+    tables = {
+        (1, 2, 3, 4, 5, 0, 7, 6): (384, 8),  # sets of 6 and 2
+        (1, 2, 3, 4, 5, 6, 7, 0): (512, 2),  # one 8-cycle
+        (1, 2, 0, 4, 3, 5, 6, 7): (1440, 480),  # sets of 3 and 2, three fixed
+    }
+    for mapping, (optimal, family) in tables.items():
+        p = Permutation(3, mapping)
+        d = maximal_sets(p)
+        sizes = [len(s) for s in d.sets if len(s) > 1]
+        formula = math.factorial(len(d.sets)) * math.prod(k << (k - 2) for k in sizes)
+        assert formula == optimal
+        assert count_optimal_labelings(d) == family
+        best = min_pulse_count(d)
+        hits = 0
+        for labels in itertools.permutations(range(8)):
+            level_of = [0] * 8
+            for level, label in enumerate(labels):
+                level_of[label] = level
+            hits += inversions([level_of[mapping[label]] for label in labels]) == best
+        assert hits == optimal
+        # the family is a subset of the optimal labelings
+        for scheme in enumerate_ols_quadrupolar(d, t):
+            assert inversions(scheme.labeling.induced(p)) == best
 
 
 def test_enumerate_respects_limit(full_adder):

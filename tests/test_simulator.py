@@ -113,7 +113,9 @@ def test_products_are_unitary_random():
             assert np.array_equal(u @ u.conj().T, np.eye(8))
 
 
-@pytest.mark.parametrize("pair", [(2, 2), (0, 4), (-1, 2)])
+@pytest.mark.parametrize(
+    "pair", [(2, 2), (0, 4), (-1, 2), Pulse(0, 0, 0, 0), Pulse(3, 4, 3, 4)]
+)
 def test_sequence_product_level_errors(pair):
     with pytest.raises(ValueError):
         sequence_product([(0, 1), pair], 4)

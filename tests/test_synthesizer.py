@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from levelpulse import (
     Permutation,
+    Pulse,
     PulseSequence,
     QUADRUPOLAR_CHAIN,
     SPIN_HALF_HYPERCUBE,
@@ -294,21 +296,40 @@ def test_pulse_program_round_trip(full_adder):
     assert serialize_pulse_program(parsed) == text
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1  pi_x  0  1  # bad axis",
-        "not a pulse line",
-        "2  pi_y  0  1",
-        "1  pi_y  0  3",
-        "1  pi_y  0  1\n3  pi_y  2  3",
-    ],
-)
+# bad programs at N = 2, with the message on the hypercube and on the chain
+PULSE_PROGRAM_ERRORS = {
+    "1  pi_x  0  1  # bad axis": ("bad pulse line",) * 2,
+    "not a pulse line": ("bad pulse line",) * 2,
+    "2  pi_y  0  1": ("round indices must be non-decreasing from 1",) * 2,
+    "1  pi_y  0  3": ("levels (0, 3) are not a single-quantum transition",) * 2,
+    "1  pi_y  0  1\n3  pi_y  2  3": ("round indices must be contiguous",) * 2,
+    "1  pi_y  0  1\n1  pi_y  1  3": (
+        "pulses within a round must not share a level",
+        "levels (1, 3) are not a single-quantum transition",
+    ),
+    "1  pi_y  0  0": ("levels (0, 0) are not a single-quantum transition",) * 2,
+    "1  pi_y  1  5": ("levels (1, 5) are not a single-quantum transition",) * 2,
+    "1  pi_y  -2  -1": ("levels (-2, -1) are not a single-quantum transition",) * 2,
+}
+
+
+@pytest.mark.parametrize("text", list(PULSE_PROGRAM_ERRORS))
 def test_pulse_program_parse_errors(text):
-    t = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    lab = conventional_labeling(t)
-    with pytest.raises(ValueError):
-        parse_pulse_program(text, t, lab)
+    kinds = (SPIN_HALF_HYPERCUBE, QUADRUPOLAR_CHAIN)
+    for kind, message in zip(kinds, PULSE_PROGRAM_ERRORS[text]):
+        t = build_topology(kind, 2)
+        lab = conventional_labeling(t)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_pulse_program(text, t, lab)
+
+
+@pytest.mark.parametrize("rounds", [(3, -1), (0, 1)])
+def test_pulse_sequence_rejects_rounds_below_one(rounds):
+    # both sum to the pulse count: (3, -1) would serialize as round 1 twice
+    # and (0, 1) as a lone round 2, which the parser rejects
+    pulses = (Pulse(0, 1, 0, 1), Pulse(2, 3, 2, 3))[: sum(rounds)]
+    with pytest.raises(ValueError, match="round sizes must be at least 1"):
+        PulseSequence(2, pulses, rounds)
 
 
 def naive_schedule(seq):

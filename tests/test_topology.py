@@ -46,6 +46,17 @@ def test_hypercube_edges_are_single_bit_flips():
         assert bin(lab.label_of(a) ^ lab.label_of(b)).count("1") == 1
 
 
+@pytest.mark.parametrize("kind", [QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE])
+def test_is_edge_matches_edge_set(kind):
+    # out-of-range pairs such as (-2, -1) must not pass the arithmetic tests
+    for n in range(1, 7):
+        t = build_topology(kind, n)
+        span = range(-2, t.level_count + 2)
+        for a in span:
+            for b in span:
+                assert t.is_edge(a, b) == ((min(a, b), max(a, b)) in t.edge_set)
+
+
 @pytest.mark.parametrize("kind, n", [("ring", 3), (QUADRUPOLAR_CHAIN, 0), (QUADRUPOLAR_CHAIN, 11)])
 def test_build_errors(kind, n):
     with pytest.raises(ValueError):
