@@ -31,7 +31,6 @@ from .topology import (
 )
 from .labeler import (
     LabelingScheme,
-    SetPlacement,
     enumerate_ols_quadrupolar,
     fixed_scheme,
     ols_quadrupolar,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import labeler, simulator, synthesizer
 from .permutation import (
@@ -35,7 +34,7 @@ from .permutation import (
 from .synthesizer import SynthesisError
 from .topology import QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE, Topology, build_topology
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 TOPOLOGY_ALIASES = {
     "chain": QUADRUPOLAR_CHAIN,
@@ -48,41 +47,21 @@ EXIT_SYNTHESIS = 3
 EXIT_VERIFY = 4
 
 
-@dataclass
-class RunConfig:
-    """Everything one subcommand run depends on."""
-
-    command: str
-    topology: str = QUADRUPOLAR_CHAIN
-    labeling: str | None = None
-    operations: list[str] = field(default_factory=list)
-    qubits: int | None = None
-    output: str | None = None
-    depth_cap: int | None = None
-    limit: int | None = None
-    show: int = 0
-    ascii_bars: bool = False
-    program: str | None = None
-    labeling_table: str | None = None
-
-
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
 
 
-def _resolve_operations(cfg: RunConfig) -> tuple[Permutation, str, Topology]:
+def _resolve_operations(args: argparse.Namespace) -> tuple[Permutation, str, Topology]:
     """Compose the operation tokens left to right into one permutation.
 
     Also builds the topology for the inferred qubit count, so a count
     out of range is refused before any operation is built.
     """
-    if not cfg.operations:
-        raise CliError("no operation given", EXIT_FORMAT)
-    n = cfg.qubits
+    n = args.qubits
     tables: dict[str, Permutation] = {}
-    for token in cfg.operations:
+    for token in args.operations:
         if os.path.exists(token):
             with open(token, encoding="utf-8") as fh:
                 tables[token] = parse_truth_table(fh.read())
@@ -97,12 +76,12 @@ def _resolve_operations(cfg: RunConfig) -> tuple[Permutation, str, Topology]:
     if n is None:
         raise CliError("qubit count could not be inferred; pass --qubits", EXIT_FORMAT)
     try:
-        t = build_topology(cfg.topology, n)
+        t = build_topology(args.topology, n)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_FORMAT) from exc
 
     perms = []
-    for token in cfg.operations:
+    for token in args.operations:
         if token in tables:
             perms.append(tables[token])
         else:
@@ -120,41 +99,41 @@ def _resolve_operations(cfg: RunConfig) -> tuple[Permutation, str, Topology]:
     combined = perms[0]
     for extra in perms[1:]:
         combined = compose(combined, extra)
-    return combined, "+".join(cfg.operations), t
+    return combined, "+".join(args.operations), t
 
 
-def _default_labeling(cfg: RunConfig) -> str:
-    if cfg.labeling:
-        return cfg.labeling
-    return "ols" if cfg.topology == QUADRUPOLAR_CHAIN else "pairswap"
+def _default_labeling(args: argparse.Namespace) -> str:
+    if args.labeling:
+        return args.labeling
+    return "ols" if args.topology == QUADRUPOLAR_CHAIN else "pairswap"
 
 
-def _check_scheme(cfg: RunConfig, name: str) -> None:
-    allowed = synthesizer.SCHEMES[cfg.topology]
+def _check_scheme(args: argparse.Namespace, name: str) -> None:
+    allowed = synthesizer.SCHEMES[args.topology]
     if name not in allowed:
         raise CliError(
             "labeling {!r} is not valid for {} (choose from {})".format(
-                name, cfg.topology, ", ".join(allowed)
+                name, args.topology, ", ".join(allowed)
             ),
             EXIT_FORMAT,
         )
 
 
-def _write_outputs(cfg: RunConfig, files: dict[str, str]) -> None:
-    if cfg.output is None:
+def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> None:
+    if args.output is None:
         return
-    os.makedirs(cfg.output, exist_ok=True)
+    os.makedirs(args.output, exist_ok=True)
     for name, text in files.items():
-        with open(os.path.join(cfg.output, name), "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.output, name), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
-def cmd_compile(cfg: RunConfig) -> int:
-    p, op_name, t = _resolve_operations(cfg)
-    name = _default_labeling(cfg)
-    _check_scheme(cfg, name)
+def cmd_compile(args: argparse.Namespace) -> int:
+    p, op_name, t = _resolve_operations(args)
+    name = _default_labeling(args)
+    _check_scheme(args, name)
     d = maximal_sets(p)
-    scheme, seq = synthesizer.synthesize_named(name, p, d, t, cfg.depth_cap)
+    scheme, seq = synthesizer.synthesize_named(name, p, d, t, args.depth_cap)
     scheduled = synthesizer.schedule_rounds(seq)
     table = labeler.serialize_labeling(scheme.labeling, t)
     program = synthesizer.serialize_pulse_program(scheduled)
@@ -162,7 +141,7 @@ def cmd_compile(cfg: RunConfig) -> int:
         [
             "command: compile",
             "operation: {}".format(op_name),
-            "topology: {}".format(cfg.topology),
+            "topology: {}".format(args.topology),
             "labeling: {}".format(name),
             "qubits: {}".format(p.n_qubits),
             "sets: {}".format(len(d.sets)),
@@ -172,7 +151,7 @@ def cmd_compile(cfg: RunConfig) -> int:
         ]
     )
     _write_outputs(
-        cfg,
+        args,
         {"report.txt": report, "labeling.txt": table, "program.txt": program},
     )
     print(report)
@@ -185,12 +164,12 @@ def cmd_compile(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    p, op_name, t = _resolve_operations(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    p, op_name, t = _resolve_operations(args)
     try:
-        with open(cfg.labeling_table, encoding="utf-8") as fh:
+        with open(args.labeling_table, encoding="utf-8") as fh:
             labeling = labeler.parse_labeling(fh.read(), t)
-        with open(cfg.program, encoding="utf-8") as fh:
+        with open(args.program, encoding="utf-8") as fh:
             seq = synthesizer.parse_pulse_program(fh.read(), t, labeling)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_FORMAT) from exc
@@ -209,13 +188,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if verdict.passed else EXIT_VERIFY
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    p, op_name, t = _resolve_operations(cfg)
-    report = synthesizer.pulse_count_report(p, t, cfg.depth_cap)
+def cmd_compare(args: argparse.Namespace) -> int:
+    p, op_name, t = _resolve_operations(args)
+    report = synthesizer.pulse_count_report(p, t, args.depth_cap)
     lines = [
         "command: compare",
         "operation: {}".format(op_name),
-        "topology: {}".format(cfg.topology),
+        "topology: {}".format(args.topology),
         "qubits: {}".format(p.n_qubits),
         "scheme  pulses  rounds",
     ]
@@ -229,38 +208,38 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    p, op_name, t = _resolve_operations(cfg)
-    name = _default_labeling(cfg)
-    _check_scheme(cfg, name)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    p, op_name, t = _resolve_operations(args)
+    name = _default_labeling(args)
+    _check_scheme(args, name)
     d = maximal_sets(p)
-    scheme, _ = synthesizer.synthesize_named(name, p, d, t, cfg.depth_cap)
+    scheme, _ = synthesizer.synthesize_named(name, p, d, t, args.depth_cap)
     eq = simulator.equilibrium_populations(t)
     fin = simulator.final_populations(eq, p, scheme)
     parts = [
         "command: spectrum",
         "operation: {}".format(op_name),
-        "topology: {}".format(cfg.topology),
+        "topology: {}".format(args.topology),
         "labeling: {}".format(name),
         "qubits: {}".format(p.n_qubits),
         "",
         "equilibrium:",
         simulator.serialize_spectrum(
-            simulator.stick_spectrum(eq, t), cfg.ascii_bars
+            simulator.stick_spectrum(eq, t), args.ascii_bars
         ),
         "",
         "final:",
         simulator.serialize_spectrum(
-            simulator.stick_spectrum(fin, t), cfg.ascii_bars
+            simulator.stick_spectrum(fin, t), args.ascii_bars
         ),
     ]
     print("\n".join(parts))
     return EXIT_OK
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    p, op_name, t = _resolve_operations(cfg)
-    if cfg.topology != QUADRUPOLAR_CHAIN:
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    p, op_name, t = _resolve_operations(args)
+    if args.topology != QUADRUPOLAR_CHAIN:
         raise CliError("enumeration applies to the quadrupolar chain", EXIT_FORMAT)
     d = maximal_sets(p)
     lines = [
@@ -271,9 +250,9 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     ]
     count = 0
     shown = []
-    for scheme in labeler.enumerate_ols_quadrupolar(d, t, cfg.limit):
+    for scheme in labeler.enumerate_ols_quadrupolar(d, t, args.limit):
         count += 1
-        if count <= cfg.show:
+        if count <= args.show:
             labels = " ".join(
                 scheme.labeling.label_bits(lv) for lv in range(t.level_count)
             )
@@ -303,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, labeling=False):
+    def common(sp, run, labeling=False):
+        sp.set_defaults(run=run)
         sp.add_argument("operations", nargs="+", metavar="OPERATION",
                         help="truth-table file, fulladder4, swap:i,j or identity:N")
         sp.add_argument("--topology", choices=sorted(TOPOLOGY_ALIASES), default="chain")
@@ -318,57 +298,35 @@ def _build_parser() -> argparse.ArgumentParser:
             )
 
     sp = sub.add_parser("compile", help="emit a pulse program and labeling table")
-    common(sp, labeling=True)
+    common(sp, cmd_compile, labeling=True)
     sp.add_argument("--output", default=None, metavar="DIR",
                     help="also write report.txt, labeling.txt and program.txt here")
 
     sp = sub.add_parser("verify", help="check a pulse program against a truth table")
-    common(sp)
+    common(sp, cmd_verify)
     sp.add_argument("--program", required=True)
     sp.add_argument("--labeling-table", required=True, dest="labeling_table")
 
     sp = sub.add_parser("compare", help="pulse counts across labeling schemes")
-    common(sp)
+    common(sp, cmd_compare)
 
     sp = sub.add_parser("spectrum", help="equilibrium and final stick spectra")
-    common(sp, labeling=True)
+    common(sp, cmd_spectrum, labeling=True)
     sp.add_argument("--ascii", action="store_true", dest="ascii_bars")
 
     sp = sub.add_parser("enumerate", help="count or list optimal chain labelings")
-    common(sp)
+    common(sp, cmd_enumerate)
     sp.add_argument("--limit", type=_at_least(1), default=None)
     sp.add_argument("--show", type=_at_least(0), default=0)
 
     return parser
 
 
-_HANDLERS = {
-    "compile": cmd_compile,
-    "verify": cmd_verify,
-    "compare": cmd_compare,
-    "spectrum": cmd_spectrum,
-    "enumerate": cmd_enumerate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        topology=TOPOLOGY_ALIASES[args.topology],
-        labeling=getattr(args, "labeling", None),
-        operations=list(args.operations),
-        qubits=args.qubits,
-        output=getattr(args, "output", None),
-        depth_cap=args.depth_cap,
-        limit=getattr(args, "limit", None),
-        show=getattr(args, "show", 0),
-        ascii_bars=getattr(args, "ascii_bars", False),
-        program=getattr(args, "program", None),
-        labeling_table=getattr(args, "labeling_table", None),
-    )
+    args.topology = TOPOLOGY_ALIASES[args.topology]
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return args.run(args)
     except CliError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return exc.code

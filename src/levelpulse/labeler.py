@@ -26,7 +26,6 @@ from .topology import (
 )
 
 __all__ = [
-    "SetPlacement",
     "LabelingScheme",
     "ols_quadrupolar",
     "enumerate_ols_quadrupolar",
@@ -42,46 +41,27 @@ COXETER = "coxeter"
 
 
 @dataclass(frozen=True)
-class SetPlacement:
-    """Levels assigned to one maximal set, in chain-element order.
-
-    ``style`` records how the synthesizer realizes the cycle: ``path``
-    placements keep consecutive chain elements on adjacent levels;
-    ``coxeter`` placements put chain element j on position 2j of a
-    transition path while 2j < L and on position 2(L - 1 - j) + 1 after
-    that, so the even-position edges pulsed together, then the odd ones,
-    realize the chain.
-    """
-
-    levels: tuple[int, ...]
-    style: str = PATH
-
-    @property
-    def path(self) -> tuple[int, ...]:
-        """The transition path the levels lie on, in path order."""
-        if self.style != COXETER:
-            return self.levels
-        half = (len(self.levels) + 1) // 2
-        path = list(self.levels)
-        path[0::2], path[1::2] = self.levels[:half], self.levels[half:][::-1]
-        return tuple(path)
-
-
-@dataclass(frozen=True)
 class LabelingScheme:
-    """A labeling plus the per-set placements that produced it.
+    """A labeling plus the style in which its chains are pulsed.
 
-    ``placements`` aligns with the decomposition's set order.  Fixed
-    labelings (conventional, gray) carry no placements; their pulse
-    sequences come from routing instead.
+    A placement scheme lays every maximal set on a transition path, so
+    the labeling is the placement: the levels of a set are
+    ``labeling.level_of(s)`` over its chain.  ``PATH`` chains run along
+    the path in chain order.  ``COXETER`` chains sit on a path
+    v_0 ... v_(L-1) with element j on v_(2j) while 2j < L and on
+    v_(2(L-1-j)+1) after that, so the path's even-position edges are the
+    pairs (s_i, s_(L-1-i)) and its odd-position edges the pairs
+    (s_i, s_(L-i)): two reflections of the chain order.  Fixed labelings
+    (conventional, gray) have no style; their pulse sequences come from
+    routing instead.
     """
 
     labeling: Labeling
-    placements: tuple[SetPlacement, ...] | None = None
+    style: str | None = None
 
 
 def fixed_scheme(labeling: Labeling) -> LabelingScheme:
-    """Wrap a fixed labeling (no per-set placements) as a scheme."""
+    """Wrap a fixed labeling (no placement style) as a scheme."""
     return LabelingScheme(labeling)
 
 
@@ -103,16 +83,13 @@ def _scheme_from_segments(
     # segments are transition paths; coxeter order walks the even
     # positions out and the odd positions back
     level_to_label = [-1] * t.level_count
-    placements = []
     for i, mset in enumerate(d.sets):
         levels = segment_levels[i]
         if style == COXETER:
             levels = levels[0::2] + levels[1::2][::-1]
         for state, level in zip(mset.chain, levels):
             level_to_label[level] = state
-        placements.append(SetPlacement(levels, style))
-    labeling = Labeling(t.n_qubits, tuple(level_to_label))
-    return LabelingScheme(labeling, tuple(placements))
+    return LabelingScheme(Labeling(t.n_qubits, tuple(level_to_label)), style)
 
 
 def ols_quadrupolar(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
@@ -288,9 +265,10 @@ def relabel_parallel_spin_half(
 
     Every chain goes on a transition path v_0 ... v_(L-1) in bipartite
     Coxeter order: chain element j on v_(2j) while 2j < L and on
-    v_(2(L-1-j)+1) after that.  Pulsing the even-position edges in one
-    round and the odd-position edges in the next then realizes the
-    L-cycle (the product is the bipartite Coxeter element of S_L), and
+    v_(2(L-1-j)+1) after that.  The even-position edges then join s_i to
+    s_(L-1-i) and the odd-position edges join s_i to s_(L-i), so one
+    round pulses each of these two reflections of the chain order; their
+    product is the L-cycle (the bipartite Coxeter element of S_L), and
     sets on disjoint paths share both rounds.  Two rounds are the
     minimum for any set of three or more states, because one round of
     disjoint swaps is an involution.  4-cycles go on squares v1-v2-v3-v4

@@ -1,17 +1,18 @@
 """Emit transition-selective pi-pulse sequences realizing a permutation.
 
-Placement-backed schemes (optimal chain labeling, hypercube relabelings)
-synthesize per maximal set: a chain of L states on a transition path
-needs L - 1 pulses, applied in reverse chain order, or for a chain in
-bipartite Coxeter order as the even-position path edges followed by the
-odd-position ones, which packs into two rounds.  Fixed labelings
-(conventional, gray) instead route each state to its destination with a
-product of edge transpositions.  On the chain that product is minimal:
-the inversion count of the induced level permutation, achieved by
-odd-even transposition sort.  On the hypercube an orbit factors into
-|S| - 1 pulses exactly when it passes a non-crossing-tree test; other
-orbits take one detour through an outside level or a token-swapping
-router, so the count is then an upper bound.  Every step is polynomial.
+Placement schemes (optimal chain labeling, hypercube relabelings)
+synthesize per maximal set: a chain s_0 ... s_(L-1) on a transition
+path needs L - 1 pulses, applied in reverse chain order, or for a chain
+in bipartite Coxeter order as two reflections, the pairs
+(s_i, s_(L-1-i)) and then the pairs (s_i, s_(L-i)), which pack into two
+rounds.  Fixed labelings (conventional, gray) instead route each state
+to its destination with a product of edge transpositions.  On the chain
+that product is minimal: the inversion count of the induced level
+permutation, achieved by odd-even transposition sort.  On the hypercube
+an orbit factors into |S| - 1 pulses exactly when it passes a
+non-crossing-tree test; other orbits take one detour through an outside
+level or a token-swapping router, so the count is then an upper bound.
+Every step is polynomial.
 
 Pulses are always pi rotations about y on a single transition.  A pulse
 sequence also carries its partition into simultaneous rounds: pulses in
@@ -91,8 +92,9 @@ class PulseSequence:
     """An ordered pulse list partitioned into simultaneous rounds.
 
     ``rounds`` holds the round sizes; flattening the rounds in order
-    reproduces the pulse list, and every round holds at least one pulse.
-    Unscheduled sequences have one pulse per round.
+    reproduces the pulse list, every round holds at least one pulse and
+    every pulsed level lies in [0, 2^N).  Unscheduled sequences have one
+    pulse per round.
     """
 
     n_qubits: int
@@ -112,6 +114,8 @@ class PulseSequence:
                 if a == b or round_of.get(a) == rno or round_of.get(b) == rno:
                     raise ValueError("pulses within a round must not share a level")
                 round_of[a] = round_of[b] = rno
+        if round_of and (min(round_of) < 0 or max(round_of) >= 1 << self.n_qubits):
+            raise ValueError("pulse levels must lie in [0, {})".format(1 << self.n_qubits))
 
     def __len__(self) -> int:
         return len(self.pulses)
@@ -164,35 +168,33 @@ def synthesize_on_path(
     ]
 
 
-def _coxeter_pulses(
-    path: tuple[int, ...], t: Topology, labeling: Labeling
-) -> list[Pulse]:
-    # the even-position edges of the path, then the odd-position ones
-    return [
-        _pulse(t, labeling, path[i], path[i + 1])
-        for parity in (0, 1)
-        for i in range(parity, len(path) - 1, 2)
-    ]
-
-
 def synthesize_scheme(
     d: MaximalSetDecomposition, scheme: LabelingScheme, t: Topology
 ) -> PulseSequence:
-    """Pulse sequence for a placement-backed labeling scheme.
+    """Pulse sequence for a placement scheme.
 
+    Each chain s_0 ... s_(L-1) lies on the levels its labels carry.  A
+    ``PATH`` chain goes through ``synthesize_on_path``.  A ``COXETER``
+    chain is pulsed as two reflections of its order: the pairs
+    (s_i, s_(L-1-i)) for i < L // 2, then (s_i, s_(L-i)) for
+    1 <= i < (L + 1) // 2, each reflection one round of disjoint pulses.
     Sets are synthesized independently and merged in canonical set
     order; the sequence length is exactly the sum of (|S_i| - 1).
     """
-    if scheme.placements is None:
-        raise ValueError("scheme carries no placements; use synthesize_fixed_labeling")
+    if scheme.style is None:
+        raise ValueError("scheme has no placement style; use synthesize_fixed_labeling")
+    labeling = scheme.labeling
+    to_level = labeling.label_to_level
     pulses: list[Pulse] = []
-    for mset, placement in zip(d.sets, scheme.placements):
-        if len(mset) < 2:
-            continue
-        if placement.style == COXETER:
-            pulses.extend(_coxeter_pulses(placement.path, t, scheme.labeling))
+    for mset in d.sets:
+        levels = tuple(to_level[s] for s in mset.chain)
+        if scheme.style == COXETER:
+            size = len(levels)
+            pairs = [(i, size - 1 - i) for i in range(size // 2)]
+            pairs += [(i, size - i) for i in range(1, (size + 1) // 2)]
+            pulses.extend(_pulse(t, labeling, levels[i], levels[j]) for i, j in pairs)
         else:
-            pulses.extend(synthesize_on_path(mset, placement.levels, t, scheme.labeling))
+            pulses.extend(synthesize_on_path(mset, levels, t, labeling))
     return _unscheduled(t.n_qubits, pulses)
 
 
@@ -511,9 +513,9 @@ def synthesize_named(
 ) -> tuple[LabelingScheme, PulseSequence]:
     """Labeling scheme plus pulse sequence for one scheme name."""
     scheme = scheme_for(name, d, t)
-    if scheme.placements is not None:
-        return scheme, synthesize_scheme(d, scheme, t)
-    return scheme, synthesize_fixed_labeling(p, scheme, t, depth_cap)
+    if scheme.style is None:
+        return scheme, synthesize_fixed_labeling(p, scheme, t, depth_cap)
+    return scheme, synthesize_scheme(d, scheme, t)
 
 
 def pulse_count_report(

@@ -16,6 +16,7 @@ from collections import deque
 import numpy as np
 
 from levelpulse import (
+    Labeling,
     Permutation,
     QUADRUPOLAR_CHAIN,
     SPIN_HALF_HYPERCUBE,
@@ -114,6 +115,31 @@ def test_criterion_2_gray_discrepancy_is_flagged(full_adder):
         "gray" in n for n in notes_composed
     )
     assert report("2 gray discrepancy flagged", ok, str(notes_adder))
+
+
+def test_criterion_2_gray_witness_and_reflected_images(full_adder):
+    # the published 10/26 need another 4-bit Gray sequence (this witness);
+    # no image of the reflected Gray code under the hypercube's symmetries
+    # (qubit reorderings, bit complements, either direction) goes below 12
+    t = build_topology(QUADRUPOLAR_CHAIN, 4)
+    composed = compose(full_adder, builtin_operation("swap:2,4", 4))
+    witness = (0, 2, 3, 1, 5, 7, 6, 4, 12, 13, 15, 14, 10, 11, 9, 8)
+    assert all((a ^ b).bit_count() == 1 for a, b in zip(witness, witness[1:]))
+
+    def pulses(p, labels):
+        return len(synthesize_fixed_labeling(p, fixed_scheme(Labeling(4, labels)), t))
+
+    gray = [k ^ (k >> 1) for k in range(16)]
+    images = set()
+    for order in itertools.permutations(range(4)):
+        for mask in range(16):
+            image = [sum((g >> b & 1) << order[b] for b in range(4)) ^ mask for g in gray]
+            images.update((tuple(image), tuple(image[::-1])))
+    floor = min(pulses(full_adder, labels) for labels in images)
+    got = (pulses(full_adder, witness), pulses(composed, witness))
+    ok = got == (10, 26) and len(images) == 384 and floor == 12
+    detail = "witness {}/{}, reflected-image floor {}".format(*got, floor)
+    assert report("2 gray witness", ok, detail)
 
 
 def test_criterion_3_labeling_counts(full_adder):

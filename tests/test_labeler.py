@@ -28,13 +28,18 @@ from levelpulse import (
     synthesize_scheme,
     verify_permutation,
 )
-from levelpulse.labeler import COXETER, PATH, SetPlacement, _embed_chains, _multi_sets
+from levelpulse.labeler import COXETER, PATH, _embed_chains, _multi_sets
 
 
 def random_permutation(n_qubits, rng):
     m = list(range(1 << n_qubits))
     rng.shuffle(m)
     return Permutation(n_qubits, tuple(m))
+
+
+def chain_levels(scheme, mset):
+    # a placement scheme's labeling puts each chain on these levels
+    return tuple(scheme.labeling.level_of(s) for s in mset.chain)
 
 
 def chain4():
@@ -50,7 +55,8 @@ def test_ols_places_largest_multi_set_first(full_adder):
     t = chain4()
     scheme = ols_quadrupolar(d, t)
     # the four states of the first 4-cycle occupy the top levels in chain order
-    assert scheme.placements[4].levels == (0, 1, 2, 3)
+    assert scheme.style == PATH
+    assert chain_levels(scheme, d.sets[4]) == (0, 1, 2, 3)
     labels = [scheme.labeling.label_bits(lv) for lv in range(4)]
     assert labels == ["0100", "0110", "0101", "0111"]
     seq = synthesize_scheme(d, scheme, t)
@@ -81,10 +87,11 @@ def test_ols_multi_sets_contiguous_random():
             d = maximal_sets(p)
             scheme = ols_quadrupolar(d, t)
             assert sorted(scheme.labeling.level_to_label) == list(range(t.level_count))
-            for mset, placement in zip(d.sets, scheme.placements):
+            assert scheme.style == PATH
+            for mset in d.sets:
                 if len(mset) > 1:
-                    lo = placement.levels[0]
-                    assert placement.levels == tuple(range(lo, lo + len(mset)))
+                    levels = chain_levels(scheme, mset)
+                    assert levels == tuple(range(levels[0], levels[0] + len(mset)))
 
 
 def test_ols_requires_chain(full_adder):
@@ -175,8 +182,10 @@ def test_enumerated_schemes_keep_chains_adjacent():
         p = random_permutation(3, rng)
         d = maximal_sets(p)
         for scheme in enumerate_ols_quadrupolar(d, t, limit=48):
-            for mset, placement in zip(d.sets, scheme.placements):
-                for u, v in zip(placement.levels, placement.levels[1:]):
+            assert scheme.style == PATH
+            for mset in d.sets:
+                levels = chain_levels(scheme, mset)
+                for u, v in zip(levels, levels[1:]):
                     assert t.is_edge(u, v)
 
 
@@ -208,9 +217,10 @@ def test_pairswap_chains_edge_connected_random():
             p = random_permutation(n, rng)
             d = maximal_sets(p)
             scheme = relabel_pairswap_spin_half(d, t)
-            for mset, placement in zip(d.sets, scheme.placements):
-                assert placement.style == PATH
-                for u, v in zip(placement.levels, placement.levels[1:]):
+            assert scheme.style == PATH
+            for mset in d.sets:
+                levels = chain_levels(scheme, mset)
+                for u, v in zip(levels, levels[1:]):
                     assert t.is_edge(u, v)
             assert len(synthesize_scheme(d, scheme, t)) == min_pulse_count(d)
 
@@ -225,9 +235,11 @@ def test_parallel_full_adder_round_structure(full_adder):
     d = maximal_sets(full_adder)
     t = cube4()
     scheme = relabel_parallel_spin_half(d, t)
-    for mset, placement in zip(d.sets, scheme.placements):
+    assert scheme.style == COXETER
+    for mset in d.sets:
         if len(mset) == 4:
-            assert placement.style == COXETER
+            path = coxeter_path(chain_levels(scheme, mset))
+            assert all(t.is_edge(u, v) for u, v in zip(path, path[1:]))
     seq = synthesize_scheme(d, scheme, t)
     assert len(seq) == 8
     assert schedule_rounds(seq).rounds == (6, 2)
@@ -269,20 +281,26 @@ def test_hypercube_placement_random_tables(relabel, n, seed):
     t = build_topology(SPIN_HALF_HYPERCUBE, n)
     scheme = relabel(d, t)
     expected_rounds = 0
-    for mset, placement in zip(d.sets, scheme.placements):
-        levels = placement.levels
+    expected_pulses = []
+    for mset in d.sets:
+        levels = chain_levels(scheme, mset)
         if relabel is relabel_parallel_spin_half:
-            # every chain on a transition path in coxeter order: two rounds at most
-            assert placement.style == COXETER
+            # every chain on a transition path in coxeter order: two rounds at
+            # most, pulsed as the even-position path edges, then the odd ones
+            assert scheme.style == COXETER
             levels = coxeter_path(levels)
-            assert placement.path == levels
+            edges = list(zip(levels, levels[1:]))
+            edges = edges[0::2] + edges[1::2]
             expected_rounds = max(expected_rounds, min(len(mset) - 1, 2))
         else:
-            assert placement.style == PATH
+            assert scheme.style == PATH
+            edges = list(zip(levels, levels[1:]))[::-1]
             expected_rounds = max(expected_rounds, len(mset) - 1)
-        assert all(t.is_edge(u, v) for u, v in zip(levels, levels[1:]))
+        assert all(t.is_edge(u, v) for u, v in edges)
+        expected_pulses += [tuple(sorted(edge)) for edge in edges]
     seq = synthesize_scheme(d, scheme, t)
     assert len(seq) == min_pulse_count(d)
+    assert [pulse.levels for pulse in seq.pulses] == expected_pulses
     scheduled = schedule_rounds(seq)
     assert verify_permutation(sequence_product(scheduled), p, scheme).passed
     assert len(scheduled.rounds) == expected_rounds
@@ -306,24 +324,26 @@ def test_pairswap_dead_end_falls_back_to_gray_path():
     t = build_topology(SPIN_HALF_HYPERCUBE, 6)
     assert _embed_chains(d, t, _multi_sets(d)) is None
     scheme = relabel_pairswap_spin_half(d, t)
-    big, *quads = [pl for m, pl in zip(d.sets, scheme.placements) if len(m) > 1]
+    assert scheme.style == PATH
+    big, *quads = [chain_levels(scheme, m) for m in d.sets if len(m) > 1]
     # largest first on consecutive Gray positions
-    assert big == SetPlacement(tuple(gray(k) for k in range(32)), PATH)
-    for j, placement in enumerate(quads):
-        assert placement == SetPlacement(tuple(gray(k) for k in range(32 + 4 * j, 36 + 4 * j)), PATH)
+    assert big == tuple(gray(k) for k in range(32))
+    for j, levels in enumerate(quads):
+        assert levels == tuple(gray(k) for k in range(32 + 4 * j, 36 + 4 * j))
 
 
 def test_parallel_dead_end_puts_4_cycles_on_gray_squares():
     d = maximal_sets(incrementers6())
     t = build_topology(SPIN_HALF_HYPERCUBE, 6)
     scheme = relabel_parallel_spin_half(d, t)
-    big, *quads = [pl for m, pl in zip(d.sets, scheme.placements) if len(m) > 1]
+    assert scheme.style == COXETER
+    big, *quads = [chain_levels(scheme, m) for m in d.sets if len(m) > 1]
     # largest first on consecutive Gray positions, each in coxeter order
     path = [gray(k) for k in range(32)]
-    assert big == SetPlacement(tuple(path[0::2] + path[1::2][::-1]), COXETER)
-    for j, placement in enumerate(quads):
+    assert big == tuple(path[0::2] + path[1::2][::-1])
+    for j, levels in enumerate(quads):
         v1, v2, v3, v4 = (gray(k) for k in range(32 + 4 * j, 36 + 4 * j))
-        assert placement == SetPlacement((v1, v3, v4, v2), COXETER)
+        assert levels == (v1, v3, v4, v2)
     assert len(schedule_rounds(synthesize_scheme(d, scheme, t)).rounds) == 2
 
 

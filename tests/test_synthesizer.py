@@ -61,6 +61,11 @@ def random_permutation(n_qubits, rng):
     return Permutation(n_qubits, tuple(m))
 
 
+def chain_levels(scheme, mset):
+    # a placement scheme's labeling puts each chain on these levels
+    return tuple(scheme.labeling.level_of(s) for s in mset.chain)
+
+
 def label_subspace(u, labeling, labels):
     rows = [labeling.level_of(x) for x in labels]
     return u[np.ix_(rows, rows)]
@@ -71,7 +76,7 @@ def test_on_path_emits_reverse_chain_order(full_adder):
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
     mset = d.sets[4]
-    pulses = synthesize_on_path(mset, scheme.placements[4].levels, t, scheme.labeling)
+    pulses = synthesize_on_path(mset, chain_levels(scheme, mset), t, scheme.labeling)
     assert [p.levels for p in pulses] == [(2, 3), (1, 2), (0, 1)]
 
 
@@ -79,7 +84,7 @@ def test_on_path_product_matches_cycle_matrix(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[4], scheme.placements[4].levels, t, scheme.labeling)
+    pulses = synthesize_on_path(d.sets[4], chain_levels(scheme, d.sets[4]), t, scheme.labeling)
     u = sequence_unitary(pulses, 16)
     sub = label_subspace(u, scheme.labeling, [0b0100, 0b0101, 0b0110, 0b0111])
     assert np.array_equal(sub, CYCLE4_MATRIX)
@@ -89,7 +94,7 @@ def test_on_path_two_element_set(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[6], scheme.placements[6].levels, t, scheme.labeling)
+    pulses = synthesize_on_path(d.sets[6], chain_levels(scheme, d.sets[6]), t, scheme.labeling)
     assert len(pulses) == 1
 
 
@@ -98,7 +103,7 @@ def test_on_path_second_cycle_population_action(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[5], scheme.placements[5].levels, t, scheme.labeling)
+    pulses = synthesize_on_path(d.sets[5], chain_levels(scheme, d.sets[5]), t, scheme.labeling)
     u = sequence_unitary(pulses, 16)
     lab = scheme.labeling
     for src, dst in [(0b1000, 0b1010), (0b1010, 0b1001), (0b1001, 0b1011), (0b1011, 0b1000)]:
@@ -212,7 +217,7 @@ def test_schedule_single_pulse(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[6], scheme.placements[6].levels, t, scheme.labeling)
+    pulses = synthesize_on_path(d.sets[6], chain_levels(scheme, d.sets[6]), t, scheme.labeling)
     single = schedule_rounds(PulseSequence(4, tuple(pulses), (1,) * len(pulses)))
     assert single.rounds == (1,)
 
@@ -221,7 +226,7 @@ def test_schedule_chain_triple_needs_three_rounds(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[4], scheme.placements[4].levels, t, scheme.labeling)
+    pulses = synthesize_on_path(d.sets[4], chain_levels(scheme, d.sets[4]), t, scheme.labeling)
     seq = PulseSequence(4, tuple(pulses), (1,) * 3)
     assert schedule_rounds(seq).rounds == (1, 1, 1)
 
@@ -330,6 +335,19 @@ def test_pulse_sequence_rejects_rounds_below_one(rounds):
     pulses = (Pulse(0, 1, 0, 1), Pulse(2, 3, 2, 3))[: sum(rounds)]
     with pytest.raises(ValueError, match="round sizes must be at least 1"):
         PulseSequence(2, pulses, rounds)
+
+
+@pytest.mark.parametrize(
+    "pulses",
+    [
+        # level -1 would alias level 3 in the scheduler's per-level record
+        (Pulse(2, 3, 2, 3), Pulse(-1, 0, 0, 1)),
+        (Pulse(3, 4, 3, 0),),
+    ],
+)
+def test_pulse_sequence_rejects_levels_out_of_range(pulses):
+    with pytest.raises(ValueError, match=re.escape("pulse levels must lie in [0, 4)")):
+        schedule_rounds(PulseSequence(2, pulses, (1,) * len(pulses)))
 
 
 def naive_schedule(seq):
