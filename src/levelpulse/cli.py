@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except SynthesisError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_SYNTHESIS
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_FORMAT
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "TruthTableError",
@@ -196,20 +196,15 @@ def compose(first: Permutation, second: Permutation) -> Permutation:
     )
 
 
-def cycles(
-    mapping: Sequence[int] | Mapping[int, int], starts: Iterable[int] | None = None
-) -> list[tuple[int, ...]]:
-    """Cycles of a mapping through the given start points, fixed points included.
+def cycles(mapping: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cycles of a mapping, fixed points included.
 
-    Each cycle begins at the first of ``starts`` it contains and follows
-    the mapping from there; cycles appear in the order of those first
-    elements.  ``starts`` defaults to every index of a sequence.
+    Each cycle begins at its smallest index and follows the mapping from
+    there; cycles appear in the order of those first elements.
     """
-    if starts is None:
-        starts = range(len(mapping))
     seen: set[int] = set()
     out = []
-    for start in starts:
+    for start in range(len(mapping)):
         if start in seen:
             continue
         chain = [start]

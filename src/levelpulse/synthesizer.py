@@ -10,8 +10,9 @@ to its destination with a product of edge transpositions.  On the chain
 that product is minimal: the inversion count of the induced level
 permutation, achieved by odd-even transposition sort.  On the hypercube
 an orbit factors into |S| - 1 pulses exactly when it passes a
-non-crossing-tree test; other orbits take one detour through an outside
-level or a token-swapping router, so the count is then an upper bound.
+non-crossing-tree test, an interval DP whose tables also give those
+pulses; other orbits take one detour through an outside level or a
+token-swapping router, so the count is then an upper bound.
 Every step is polynomial.
 
 Pulses are always pi rotations about y on a single transition.  A pulse
@@ -159,9 +160,6 @@ def synthesize_on_path(
         return []
     if len(levels) != len(mset):
         raise ValueError("placement length does not match set size")
-    for u, v in zip(levels, levels[1:]):
-        if not t.is_edge(u, v):
-            raise ValueError("placement is not a transition path: ({}, {})".format(u, v))
     return [
         _pulse(t, labeling, levels[i], levels[i + 1])
         for i in range(len(levels) - 2, -1, -1)
@@ -231,65 +229,53 @@ def _displacement(cycle: tuple[int, ...]) -> int:
     return sum((a ^ b).bit_count() for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
-def _splits_into_tree(cycle: tuple[int, ...], t: Topology) -> bool:
-    """Whether a hypercube cycle is a product of len - 1 edge transpositions.
-
-    It is exactly when its levels, on a circle in cycle order, carry a
-    non-crossing spanning tree of topology edges (the tree property of
-    minimal cycle factorizations; Goulden and Yong, JCTA 2002).  Interval
-    DP over positions l..r in O(k^2 N): N[l][r] when l..r carry such a
-    tree, T[l][m] when l..m carry one containing the chord (l, m), with
-    T[l][m] = edge(l, m) and N[l][x] and N[x+1][m] for some x, and
-    N[l][r] = T[l][m] and N[m][r] for some neighbour m <= r of l.
-    """
-    k = len(cycle)
-    # each pulse moves two populations one step, so k - 1 pulses move 2k - 2
-    if _displacement(cycle) > 2 * k - 2:
-        return False
-    pos = {lv: i for i, lv in enumerate(cycle)}
-    row = [0] * k  # row[l] has bit r when N[l][r]
-    col = [1 << r for r in range(k)]  # col[r] has bit l when N[l][r]
-    for l in range(k - 1, -1, -1):
-        row[l] = 1 << l
-        near = sum(1 << pos[v] for v in t.neighbors[cycle[l]] if pos.get(v, l) > l)
-        chords = 0  # bit m when T[l][m]
-        for r in range(l + 1, k):
-            if near >> r & 1 and row[l] & col[r] >> 1:
-                chords |= 1 << r
-            if chords & col[r]:
-                row[l] |= 1 << r
-                col[r] |= 1 << l
-    return bool(row[0] >> (k - 1) & 1)
-
-
 def _exact_cycle_pulses(
     cycle: tuple[int, ...], t: Topology
 ) -> list[tuple[int, int]] | None:
     """Factor one hypercube cycle into exactly len - 1 edge transpositions.
 
-    Each pulse splits one remaining cycle in two.  Support-internal edges
-    are tried in lexicographic order and the first split whose halves
-    both pass ``_splits_into_tree`` is taken, so nothing backtracks.
+    Such a factorization exists exactly when the cycle's levels, on a
+    circle in cycle order, carry a non-crossing spanning tree of topology
+    edges, and the tree's edges are then its pulses (the tree property of
+    minimal cycle factorizations; Goulden and Yong, JCTA 2002).  Interval
+    DP over positions l..r in O(k^2 N): N[l][r] when l..r carry such a
+    tree, T[l][m] when l..m carry one containing the chord (l, m), with
+    T[l][m] = edge(l, m) and N[l][x] and N[x+1][m] for some x, and
+    N[l][r] = T[l][m] and N[m][r] for some neighbour m <= r of l.  The
+    same tables give the pulses: with the highest such m and x, N[l][r]
+    emits N[m][r], N[l][x], the pulse (c_l, c_m), then N[x+1][m].
     Returns None when the cycle needs more pulses on this topology.
     """
-    if not _splits_into_tree(cycle, t):
+    k = len(cycle)
+    # each pulse moves two populations one step, so k - 1 pulses move 2k - 2
+    if _displacement(cycle) > 2 * k - 2:
         return None
-    support = sorted(cycle)
-    members = set(cycle)
-    edges = [(a, b) for a in support for b in t.neighbors[a] if b > a and b in members]
-    rho = dict(zip(cycle, cycle[1:] + cycle[:1]))
-
-    def splits(a: int, b: int) -> bool:
-        rho[a], rho[b] = rho[b], rho[a]
-        if all(_splits_into_tree(half, t) for half in cycles(rho, (a, b))):
-            return True
-        rho[a], rho[b] = rho[b], rho[a]
-        return False
-
+    pos = {lv: i for i, lv in enumerate(cycle)}
+    row = [0] * k  # row[l] has bit r when N[l][r]
+    col = [1 << r for r in range(k)]  # col[r] has bit l when N[l][r]
+    chords = [0] * k  # chords[l] has bit m when T[l][m]
+    for l in range(k - 1, -1, -1):
+        row[l] = 1 << l
+        near = sum(1 << pos[v] for v in t.neighbors[cycle[l]] if pos.get(v, l) > l)
+        for r in range(l + 1, k):
+            if near >> r & 1 and row[l] & col[r] >> 1:
+                chords[l] |= 1 << r
+            if chords[l] & col[r]:
+                row[l] |= 1 << r
+                col[r] |= 1 << l
+    if not row[0] >> (k - 1) & 1:
+        return None
     out: list[tuple[int, int]] = []
-    for _ in range(len(cycle) - 1):
-        owner = {lv: i for i, orbit in enumerate(cycles(rho, support)) for lv in orbit}
-        out.append(next((a, b) for a, b in edges if owner[a] == owner[b] and splits(a, b)))
+    # a stack of N intervals and chords to pulse, not recursion: k reaches 2^N
+    todo = [(0, k - 1, False)]
+    while todo:
+        l, r, chord = todo.pop()
+        if chord:
+            out.append((min(cycle[l], cycle[r]), max(cycle[l], cycle[r])))
+        elif l < r:
+            m = (chords[l] & col[r]).bit_length() - 1
+            x = (row[l] & col[m] >> 1).bit_length() - 1
+            todo += [(x + 1, m, False), (l, m, True), (l, x, False), (m, r, False)]
     return out
 
 
@@ -408,13 +394,13 @@ def synthesize_fixed_labeling(
     sort of the induced level permutation (inversion-count minimal, and
     each phase of level-disjoint swaps can share one round).  On the
     hypercube each orbit takes the first of: an exact factorization into
-    |S| - 1 pulses, when the orbit passes the non-crossing-tree test;
-    |S| + 1 pulses through one outside level; the token-swapping router
-    on that orbit alone.  If that spends more than the sum of |S| - 1,
-    the router also runs on the whole permutation and the shorter
-    program is kept (the per-orbit one on a tie).  So the hypercube count
-    is minimal when every orbit passes the tree test and otherwise an
-    upper bound.  Every step is polynomial.  A program longer than
+    |S| - 1 pulses, read off the tables of the non-crossing-tree DP when
+    the orbit passes it; |S| + 1 pulses through one outside level; the
+    token-swapping router on that orbit alone.  If that spends more than
+    the sum of |S| - 1, the router also runs on the whole permutation and
+    the shorter program is kept (the per-orbit one on a tie).  So the
+    hypercube count is minimal when every orbit passes the tree test and
+    otherwise an upper bound.  Every step is polynomial.  A program longer than
     ``depth_cap`` pulses raises ``SynthesisError``.
     """
     labeling = scheme.labeling

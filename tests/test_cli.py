@@ -88,6 +88,18 @@ def test_compile_parse_error_exit_code(tmp_path):
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command", [("compile",), ("verify", "--program", "p.txt", "--labeling-table", "l.txt")]
+)
+def test_non_utf8_operation_file_exit_2_without_traceback(tmp_path, command):
+    doc = tmp_path / "bin.tt"
+    doc.write_bytes(b"\xff\xfe\x00bad")
+    result = run_cli(*command, str(doc), cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_compare_composed_operations():
     result = run_cli("compare", "--topology", "chain", "fulladder4", "swap:2,4")
     assert result.returncode == 0
@@ -352,8 +364,16 @@ SCHEME_PAIRS = (
     ("hypercube", "cl"),
 )
 
-# sha256 over the compile and verify stdout of test_compile_verify_stdout_digest
-ROUND_TRIP_DIGEST = "1c9f14e383ed5be174ea7e523a9ae4e4b68c21aad30fd0d02f69604133f6205a"
+# sha256 per scheme pair over the compile and verify stdout of
+# test_compile_verify_stdout_digest
+ROUND_TRIP_DIGESTS = {
+    ("chain", "ols"): "06419d500a474c83fedded0dfb6365351c8539d68a653d2ba88ef31cb7b8d33a",
+    ("chain", "cl"): "8882140fded79e73e17fd9642851130a377896f81271d9459262946b8d710e3d",
+    ("chain", "gray"): "2758b53f3a0b2de6385b75a07fcc5151a8dc099848efaadd61b3ad2961d366a2",
+    ("hypercube", "pairswap"): "9a52b2c0d2b6c293b6d953d2d220d13fc39abdbc7878ee31490d72af76e70093",
+    ("hypercube", "parallel"): "92e36772daa8d486e098fc79fb399d4058a0ea020cc7660950d6cca0a34fae59",
+    ("hypercube", "cl"): "f23390356f4d8c8e774710b49cbffa9385207671e66c2a522c722946b987efa2",
+}
 
 
 def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
@@ -371,7 +391,7 @@ def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
             rows = ["{:0{n}b} -> {:0{n}b}\n".format(i, j, n=n) for i, j in enumerate(mapping)]
             Path(name).write_text("qubits: {}\n{}".format(n, "".join(rows)))
             operations.append((name,))
-    digest = hashlib.sha256()
+    digests = {pair: hashlib.sha256() for pair in SCHEME_PAIRS}
     for ops in operations:
         for topology, labeling in SCHEME_PAIRS:
             common = ["--topology", topology, *ops]
@@ -383,5 +403,5 @@ def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     assert cli.main(argv) == 0
-                digest.update(out.getvalue().encode())
-    assert digest.hexdigest() == ROUND_TRIP_DIGEST
+                digests[topology, labeling].update(out.getvalue().encode())
+    assert {pair: d.hexdigest() for pair, d in digests.items()} == ROUND_TRIP_DIGESTS

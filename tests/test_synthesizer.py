@@ -36,11 +36,7 @@ from levelpulse import (
     verify_permutation,
 )
 from levelpulse.permutation import cycles
-from levelpulse.synthesizer import (
-    _detour_pulses,
-    _exact_cycle_pulses,
-    _splits_into_tree,
-)
+from levelpulse.synthesizer import _detour_pulses, _exact_cycle_pulses
 
 # product operator of the three pulses cycling a 4-state chain, written in
 # ascending label order of the subspace
@@ -116,7 +112,7 @@ def test_on_path_rejects_non_path(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    with pytest.raises(ValueError, match="path"):
+    with pytest.raises(ValueError, match="single-quantum transition"):
         synthesize_on_path(d.sets[4], (0, 2, 4, 6), t, scheme.labeling)
     with pytest.raises(ValueError, match="length"):
         synthesize_on_path(d.sets[4], (0, 1, 2), t, scheme.labeling)
@@ -387,7 +383,8 @@ def naive_exact_cycle_pulses(cycle, t):
     def dfs(budget):
         if budget == 0:
             return all(rho[lv] == lv for lv in support)
-        owner = {lv: i for i, orbit in enumerate(cycles(rho, support)) for lv in orbit}
+        orbits = cycles([rho.get(lv, lv) for lv in range(t.level_count)])
+        owner = {lv: i for i, orbit in enumerate(orbits) for lv in orbit}
         for a, b in edges:
             if owner[a] != owner[b]:
                 continue
@@ -402,16 +399,31 @@ def naive_exact_cycle_pulses(cycle, t):
     return out if dfs(len(cycle) - 1) else None
 
 
+def assert_factors_cycle(pulses, cyc, t):
+    # len - 1 hypercube edges whose product moves each c_i to c_(i+1)
+    mapping = list(range(t.level_count))
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        mapping[a] = b
+    assert len(pulses) == len(cyc) - 1, cyc
+    assert all(a < b and t.is_edge(a, b) for a, b in pulses), cyc
+    assert sequence_product(pulses, t.level_count)[0] == tuple(mapping), cyc
+
+
+def assert_matches_backtracking(cyc, t):
+    got = _exact_cycle_pulses(cyc, t)
+    assert (got is None) == (naive_exact_cycle_pulses(cyc, t) is None), cyc
+    if got is not None:
+        assert_factors_cycle(got, cyc, t)
+    return got is not None
+
+
 def test_exact_cycles_match_backtracking_reference():
     cube3 = build_topology(SPIN_HALF_HYPERCUBE, 3)
     exact = 0
     for k in range(2, 7):
         for subset in itertools.combinations(range(8), k):
             for rest in itertools.permutations(subset[1:]):
-                cyc = (subset[0],) + rest
-                got = _exact_cycle_pulses(cyc, cube3)
-                assert got == naive_exact_cycle_pulses(cyc, cube3), cyc
-                exact += got is not None
+                exact += assert_matches_backtracking((subset[0],) + rest, cube3)
     assert exact > 1000  # both outcomes are exercised
     cube4 = build_topology(SPIN_HALF_HYPERCUBE, 4)
     rng = random.Random(4)
@@ -422,20 +434,26 @@ def test_exact_cycles_match_backtracking_reference():
             nxt = cyc[-1] ^ (1 << rng.randrange(4)) if rng.random() < 0.8 else rng.randrange(16)
             if nxt not in cyc:
                 cyc.append(nxt)
-        cyc = tuple(cyc)
-        assert _exact_cycle_pulses(cyc, cube4) == naive_exact_cycle_pulses(cyc, cube4), cyc
+        assert_matches_backtracking(tuple(cyc), cube4)
+
+
+def test_exact_gray_order_cycle_n10():
+    # one 1,024-level cycle: the emitter must not recurse once per pulse
+    t = build_topology(SPIN_HALF_HYPERCUBE, 10)
+    cyc = tuple(i ^ (i >> 1) for i in range(1024))
+    assert_factors_cycle(_exact_cycle_pulses(cyc, t), cyc, t)
 
 
 def test_tree_test_small_cases():
     square = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    assert _splits_into_tree((0, 1), square)
-    assert not _splits_into_tree((0, 3), square)
-    assert _splits_into_tree((0, 1, 3, 2), square)
+    assert _exact_cycle_pulses((0, 1), square) is not None
+    assert _exact_cycle_pulses((0, 3), square) is None
+    assert _exact_cycle_pulses((0, 1, 3, 2), square) is not None
     cube = build_topology(SPIN_HALF_HYPERCUBE, 3)
     # the only spanning tree of {0, 1, 2, 5, 6} is the path 5-1-0-2-6; in the
     # order 0 -> 1 -> 2 -> 6 -> 5 its chords 0-2 and 1-5 cross
-    assert not _splits_into_tree((0, 1, 2, 6, 5), cube)
-    assert _splits_into_tree((0, 1, 5, 2, 6), cube)
+    assert _exact_cycle_pulses((0, 1, 2, 6, 5), cube) is None
+    assert _exact_cycle_pulses((0, 1, 5, 2, 6), cube) is not None
 
 
 def test_detour_routes_adder_swap_cycle(full_adder):
@@ -490,7 +508,7 @@ def test_hypercube_cl_random_tables(p):
     orbits = cycles(p.mapping)
     distance = sum((lv ^ p(lv)).bit_count() for lv in range(p.size))
     assert len(seq) >= max(p.size - len(orbits), (distance + 1) // 2)
-    if all(_splits_into_tree(orbit, t) for orbit in orbits):
+    if all(_exact_cycle_pulses(orbit, t) is not None for orbit in orbits):
         assert len(seq) == p.size - len(orbits)
 
 
