@@ -53,6 +53,18 @@ class CliError(Exception):
         self.code = code
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; a file that is not UTF-8 is refused by name."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliError(
+            "{}: not UTF-8 text ({} at byte {})".format(path, exc.reason, exc.start),
+            EXIT_FORMAT,
+        ) from None
+
+
 def _resolve_operations(args: argparse.Namespace) -> tuple[Permutation, str, Topology]:
     """Compose the operation tokens left to right into one permutation.
 
@@ -63,8 +75,7 @@ def _resolve_operations(args: argparse.Namespace) -> tuple[Permutation, str, Top
     tables: dict[str, Permutation] = {}
     for token in args.operations:
         if os.path.exists(token):
-            with open(token, encoding="utf-8") as fh:
-                tables[token] = parse_truth_table(fh.read())
+            tables[token] = parse_truth_table(_read_text(token))
             n = n or tables[token].n_qubits
         elif token == "fulladder4":
             n = n or 4
@@ -167,10 +178,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     p, op_name, t = _resolve_operations(args)
     try:
-        with open(args.labeling_table, encoding="utf-8") as fh:
-            labeling = labeler.parse_labeling(fh.read(), t)
-        with open(args.program, encoding="utf-8") as fh:
-            seq = synthesizer.parse_pulse_program(fh.read(), t, labeling)
+        labeling = labeler.parse_labeling(_read_text(args.labeling_table), t)
+        seq = synthesizer.parse_pulse_program(_read_text(args.program), t, labeling)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_FORMAT) from exc
     scheme = labeler.fixed_scheme(labeling)
@@ -336,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except SynthesisError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_SYNTHESIS
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_FORMAT
 

@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .topology import MAX_QUBITS
+
 __all__ = [
     "TruthTableError",
     "Permutation",
@@ -125,7 +127,7 @@ class MaximalSetDecomposition:
         return "\n".join(lines)
 
 
-_HEADER_RE = re.compile(r"^qubits\s*:\s*(\d+)$")
+_HEADER_RE = re.compile(r"^qubits\s*:\s*0*([0-9]+)$")
 
 
 def _content_lines(text: str) -> Iterator[str]:
@@ -148,9 +150,12 @@ def parse_truth_table(text: str) -> Permutation:
     header = _HEADER_RE.match(lines[0])
     if not header:
         raise TruthTableError("first line must be 'qubits: N', got {!r}".format(lines[0]))
-    n = int(header.group(1))
-    if n < 1:
+    count = header.group(1)  # no leading zeros, so its length bounds its value
+    if count == "0":
         raise TruthTableError("qubit count must be at least 1")
+    if len(count) > len(str(MAX_QUBITS)) or int(count) > MAX_QUBITS:
+        raise TruthTableError("qubit count must be at most {}".format(MAX_QUBITS))
+    n = int(count)
     size = 1 << n
 
     mapping: dict[int, int] = {}

@@ -18,7 +18,11 @@ Every step is polynomial.
 Pulses are always pi rotations about y on a single transition.  A pulse
 sequence also carries its partition into simultaneous rounds: pulses in
 one round touch pairwise disjoint levels, so reordering them never
-changes the product operator.
+changes the product operator.  A routed program repeats each of its
+transitions many times, so each transition is built, checked and
+formatted once: the router reuses one ``Pulse`` per level pair, an
+unscheduled sequence validates each distinct pulse once, and the program
+text formats each distinct pulse, and each round number, once.
 """
 
 from __future__ import annotations
@@ -103,19 +107,28 @@ class PulseSequence:
     rounds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if min(self.rounds, default=1) < 1:
-            raise ValueError("round sizes must be at least 1")
-        if sum(self.rounds) != len(self.pulses):
-            raise ValueError("round sizes must partition the pulse list")
-        round_of: dict[int, int] = {}  # level -> latest round pulsing it
-        end = 0
-        for rno, size in enumerate(self.rounds):
-            start, end = end, end + size
-            for a, b, _, _ in self.pulses[start:end]:
-                if a == b or round_of.get(a) == rno or round_of.get(b) == rno:
-                    raise ValueError("pulses within a round must not share a level")
-                round_of[a] = round_of[b] = rno
-        if round_of and (min(round_of) < 0 or max(round_of) >= 1 << self.n_qubits):
+        if len(self.rounds) == len(self.pulses) == self.rounds.count(1):
+            # one pulse per round: only a == b can clash, so a pulse that
+            # recurs (a long routed program) is checked once
+            distinct = set(self.pulses)
+            if any(a == b for a, b, _, _ in distinct):
+                raise ValueError("pulses within a round must not share a level")
+            levels = {lv for a, b, _, _ in distinct for lv in (a, b)}
+        else:
+            if min(self.rounds, default=1) < 1:
+                raise ValueError("round sizes must be at least 1")
+            if sum(self.rounds) != len(self.pulses):
+                raise ValueError("round sizes must partition the pulse list")
+            round_of: dict[int, int] = {}  # level -> latest round pulsing it
+            end = 0
+            for rno, size in enumerate(self.rounds):
+                start, end = end, end + size
+                for a, b, _, _ in self.pulses[start:end]:
+                    if a == b or round_of.get(a) == rno or round_of.get(b) == rno:
+                        raise ValueError("pulses within a round must not share a level")
+                    round_of[a] = round_of[b] = rno
+            levels = round_of.keys()
+        if levels and (min(levels) < 0 or max(levels) >= 1 << self.n_qubits):
             raise ValueError("pulse levels must lie in [0, {})".format(1 << self.n_qubits))
 
     def __len__(self) -> int:
@@ -411,7 +424,9 @@ def synthesize_fixed_labeling(
         raw = _hypercube_pulses(sigma, t)
     if depth_cap is not None and len(raw) > depth_cap:
         raise SynthesisError(len(raw), depth_cap)
-    return _unscheduled(t.n_qubits, [_pulse(t, labeling, a, b) for a, b in raw])
+    # a routed program pulses each transition many times: build and check it once
+    made = {edge: _pulse(t, labeling, *edge) for edge in dict.fromkeys(raw)}
+    return _unscheduled(t.n_qubits, list(map(made.__getitem__, raw)))
 
 
 def schedule_rounds(seq: PulseSequence) -> PulseSequence:
@@ -543,11 +558,18 @@ def serialize_pulse_program(seq: PulseSequence) -> str:
     """One line per pulse: round, pi_y, levels and the label annotation."""
     # a dict, so a label outside [0, 2^N) raises instead of indexing from the end
     kets = {label: bit_string(label, seq.n_qubits) for label in range(1 << seq.n_qubits)}
-    rnos = (rno for rno, size in enumerate(seq.rounds, 1) for _ in range(size))
-    return "\n".join(
-        "{}  pi_y  {}  {}  # |{}> <-> |{}>".format(rno, a, b, kets[label_a], kets[label_b])
-        for rno, (a, b, label_a, label_b) in zip(rnos, seq.pulses)
-    )
+    # the text after the round is formatted once per distinct pulse
+    tails: dict[Pulse, str] = {}
+    for pulse in set(seq.pulses):
+        a, b, label_a, label_b = pulse
+        tails[pulse] = "{}  {}  # |{}> <-> |{}>".format(a, b, kets[label_a], kets[label_b])
+    lines: list[str] = []
+    end = 0
+    for rno, size in enumerate(seq.rounds, 1):
+        start, end = end, end + size
+        head = "{}  pi_y  ".format(rno)
+        lines += [head + tails[pulse] for pulse in seq.pulses[start:end]]
+    return "\n".join(lines)
 
 
 def parse_pulse_program(text: str, t: Topology, labeling: Labeling) -> PulseSequence:

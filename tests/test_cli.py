@@ -97,7 +97,32 @@ def test_non_utf8_operation_file_exit_2_without_traceback(tmp_path, command):
     result = run_cli(*command, str(doc), cwd=tmp_path)
     assert result.returncode == 2
     assert result.stderr.startswith("error:")
+    assert "{}: not UTF-8 text".format(doc) in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("option", ["--program", "--labeling-table"])
+def test_non_utf8_verify_file_named_in_error(tmp_path, option):
+    assert run_cli("compile", "fulladder4", "--output", "out", cwd=tmp_path).returncode == 0
+    files = {"--program": "out/program.txt", "--labeling-table": "out/labeling.txt"}
+    (tmp_path / "bin.txt").write_bytes(b"\xff\xfe\x00bad")
+    files[option] = "bin.txt"
+    argv = [arg for pair in files.items() for arg in pair]
+    result = run_cli("verify", *argv, "fulladder4", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr == "error: bin.txt: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize(
+    "count", ["11", "50000000", "9" * 5000], ids=["11", "50000000", "5000-digits"]
+)
+def test_oversized_qubit_header_exit_2(tmp_path, count):
+    # refused at the header: no 2^N-row scan, no N-bit ket in the message
+    doc = tmp_path / "big.tt"
+    doc.write_text("qubits: {}\n".format(count))
+    result = run_cli("compile", str(doc))
+    assert result.returncode == 2
+    assert result.stderr == "error: qubit count must be at most 10\n"
 
 
 def test_compare_composed_operations():
@@ -376,14 +401,10 @@ ROUND_TRIP_DIGESTS = {
 }
 
 
-def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
-    # pins the labeling tables, pulse programs and verdicts of every scheme
-    # byte for byte: the adder, the adder then swap:2,4 and two seeded
-    # random tables per N = 2..6, each compiled and verified in-process
-    monkeypatch.chdir(tmp_path)
-    rng = random.Random(2026)
-    operations = [("fulladder4",), ("fulladder4", "swap:2,4")]
-    for n in range(2, 7):
+def _write_random_tables(rng, sizes):
+    # two seeded random truth-table files per qubit count, in the cwd
+    operations = []
+    for n in sizes:
         for k in range(2):
             mapping = list(range(1 << n))
             rng.shuffle(mapping)
@@ -391,9 +412,14 @@ def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
             rows = ["{:0{n}b} -> {:0{n}b}\n".format(i, j, n=n) for i, j in enumerate(mapping)]
             Path(name).write_text("qubits: {}\n{}".format(n, "".join(rows)))
             operations.append((name,))
-    digests = {pair: hashlib.sha256() for pair in SCHEME_PAIRS}
+    return operations
+
+
+def _round_trip_digests(operations, pairs):
+    # sha256 per scheme pair over the in-process compile and verify stdout
+    digests = {pair: hashlib.sha256() for pair in pairs}
     for ops in operations:
-        for topology, labeling in SCHEME_PAIRS:
+        for topology, labeling in pairs:
             common = ["--topology", topology, *ops]
             for argv in (
                 ["compile", "--labeling", labeling, "--output", "out", *common],
@@ -404,4 +430,30 @@ def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
                 with contextlib.redirect_stdout(out):
                     assert cli.main(argv) == 0
                 digests[topology, labeling].update(out.getvalue().encode())
-    assert {pair: d.hexdigest() for pair, d in digests.items()} == ROUND_TRIP_DIGESTS
+    return {pair: d.hexdigest() for pair, d in digests.items()}
+
+
+def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
+    # pins the labeling tables, pulse programs and verdicts of every scheme
+    # byte for byte: the adder, the adder then swap:2,4 and two seeded
+    # random tables per N = 2..6, each compiled and verified in-process
+    monkeypatch.chdir(tmp_path)
+    operations = [("fulladder4",), ("fulladder4", "swap:2,4")]
+    operations += _write_random_tables(random.Random(2026), range(2, 7))
+    assert _round_trip_digests(operations, SCHEME_PAIRS) == ROUND_TRIP_DIGESTS
+
+
+# sha256 per chain fixed labeling over test_long_program_stdout_digest
+LONG_PROGRAM_DIGESTS = {
+    ("chain", "cl"): "07bf7ed0d3f46eba9b8afb5464afa73ea3847f29f6065a942aab66846a4b7680",
+    ("chain", "gray"): "4a2bfc6dc1a70d9761da6a33d44868bbb6306a2d3dfd09ddc082c59b1e2fe371",
+}
+
+
+def test_long_program_stdout_digest(tmp_path, monkeypatch):
+    # chain cl and gray on two seeded random tables per N = 7, 8: about
+    # 2^N (2^N - 1) / 4 pulses over at most 2^N - 1 transitions, so every
+    # transition repeats many times in each program
+    monkeypatch.chdir(tmp_path)
+    operations = _write_random_tables(random.Random(2026), (7, 8))
+    assert _round_trip_digests(operations, tuple(LONG_PROGRAM_DIGESTS)) == LONG_PROGRAM_DIGESTS

@@ -26,6 +26,7 @@ def test_parse_matches_builtin(full_adder):
 def test_parse_single_qubit_identity():
     p = parse_truth_table("qubits: 1\n0 -> 0\n1 -> 1\n")
     assert p.is_identity()
+    assert parse_truth_table("qubits: 01\n0 -> 0\n1 -> 1\n") == p
 
 
 def test_parse_any_row_order_and_whitespace():
@@ -43,6 +44,10 @@ def test_parse_any_row_order_and_whitespace():
         ("qubits: 1\n0 -> 0", "missing input"),
         ("qubits: 1\n00 -> 01\n10 -> 11", "bad 1-bit"),
         ("qubits: 1\n0 = 0\n1 = 1", "malformed"),
+        ("qubits: 0", "at least 1"),
+        ("qubits: 000", "at least 1"),
+        ("qubits: 11", "at most 10"),
+        ("qubits: 0011", "at most 10"),
     ],
 )
 def test_parse_errors(doc, message):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levelpulse import (
@@ -344,6 +344,80 @@ def test_pulse_sequence_rejects_rounds_below_one(rounds):
 def test_pulse_sequence_rejects_levels_out_of_range(pulses):
     with pytest.raises(ValueError, match=re.escape("pulse levels must lie in [0, 4)")):
         schedule_rounds(PulseSequence(2, pulses, (1,) * len(pulses)))
+
+
+# each refusal with its message at N = 3; with both faults in one sequence
+# the shared-level refusal still wins, as in a scheduled sequence's loop
+PULSE_SEQUENCE_ERRORS = [
+    ((Pulse(5, 5, 5, 5),), "pulses within a round must not share a level"),
+    ((Pulse(-1, 0, 0, 1),), "pulse levels must lie in [0, 8)"),
+    ((Pulse(7, 8, 7, 0),), "pulse levels must lie in [0, 8)"),
+    ((Pulse(7, 8, 7, 0), Pulse(5, 5, 5, 5)), "pulses within a round must not share a level"),
+]
+
+
+@pytest.mark.parametrize("scheduled", [False, True], ids=["one-per-round", "multi-pulse"])
+@pytest.mark.parametrize("pulses, message", PULSE_SEQUENCE_ERRORS)
+def test_pulse_sequence_refusals_in_both_round_shapes(pulses, message, scheduled):
+    # every pulse recurs, so the one-pulse-per-round check meets repeats
+    pulses = pulses * 2
+    rounds = (1,) * len(pulses)
+    if scheduled:
+        # a valid pulse shares the first round with the first faulty one
+        pulses = (Pulse(1, 2, 1, 2),) + pulses
+        rounds = (2,) + rounds[1:]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PulseSequence(3, pulses, rounds)
+
+
+@pytest.mark.parametrize(
+    "kind, labeling",
+    [
+        (QUADRUPOLAR_CHAIN, conventional_labeling),
+        (QUADRUPOLAR_CHAIN, gray_labeling),
+        (SPIN_HALF_HYPERCUBE, conventional_labeling),
+    ],
+)
+def test_fixed_labeling_builds_each_transition_once(kind, labeling):
+    t = build_topology(kind, 6)
+    p = random_permutation(6, random.Random(12))
+    seq = synthesize_fixed_labeling(p, fixed_scheme(labeling(t)), t)
+    assert len(seq) > len(set(seq.pulses))  # transitions recur
+    assert len({id(pulse) for pulse in seq.pulses}) == len(set(seq.pulses))
+
+
+def reference_program(seq):
+    # the program text with every line formatted on its own
+    rnos = [rno for rno, size in enumerate(seq.rounds, 1) for _ in range(size)]
+    return "\n".join(
+        "{}  pi_y  {}  {}  # |{:0{n}b}> <-> |{:0{n}b}>".format(
+            rno, a, b, label_a, label_b, n=seq.n_qubits
+        )
+        for rno, (a, b, label_a, label_b) in zip(rnos, seq.pulses)
+    )
+
+
+@st.composite
+def _pulse_sequences(draw):
+    # a few transitions drawn many times, one pulse per round or scheduled
+    kind = draw(st.sampled_from([QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE]))
+    n = draw(st.integers(1, 8))
+    t = build_topology(kind, n)
+    labels = draw(st.permutations(range(1 << n)))
+    pool = [
+        Pulse(a, b, labels[a], labels[b])
+        for a, b in draw(st.lists(st.sampled_from(t.edges), min_size=1, max_size=6))
+    ]
+    pulses = draw(st.lists(st.sampled_from(pool), max_size=60))
+    seq = PulseSequence(n, tuple(pulses), (1,) * len(pulses))
+    return schedule_rounds(seq) if draw(st.booleans()) else seq
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seq=_pulse_sequences())
+@example(seq=PulseSequence(1, (), ()))
+def test_serialize_matches_per_pulse_reference(seq):
+    assert serialize_pulse_program(seq) == reference_program(seq)
 
 
 def naive_schedule(seq):
