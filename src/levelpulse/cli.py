@@ -10,8 +10,8 @@ Operations are given as truth-table files or as the built-in names
 right.  All output is deterministic: the same configuration and inputs
 give byte-identical reports.
 
-Exit codes: 0 success, 2 parse or format error, 3 routed program
-longer than ``--depth-cap`` pulses, 4 verification failure.
+Exit codes: 0 success, 2 parse or format error, 3 routed program longer
+than ``--depth-cap`` pulses (``compile``, ``compare``), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -221,8 +221,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     p, op_name, t = _resolve_operations(args)
     name = _default_labeling(args)
     _check_scheme(args, name)
-    d = maximal_sets(p)
-    scheme, _ = synthesizer.synthesize_named(name, p, d, t, args.depth_cap)
+    scheme = synthesizer.scheme_for(name, maximal_sets(p), t)
     eq = simulator.equilibrium_populations(t)
     fin = simulator.final_populations(eq, p, scheme)
     parts = [
@@ -297,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="truth-table file, fulladder4, swap:i,j or identity:N")
         sp.add_argument("--topology", choices=sorted(TOPOLOGY_ALIASES), default="chain")
         sp.add_argument("--qubits", type=int, default=None)
-        sp.add_argument("--depth-cap", type=_at_least(0), default=None, dest="depth_cap")
         if labeling:
             sp.add_argument(
                 "--labeling",
@@ -308,6 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compile", help="emit a pulse program and labeling table")
     common(sp, cmd_compile, labeling=True)
+    sp.add_argument("--depth-cap", type=_at_least(0), default=None, dest="depth_cap")
     sp.add_argument("--output", default=None, metavar="DIR",
                     help="also write report.txt, labeling.txt and program.txt here")
 
@@ -318,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="pulse counts across labeling schemes")
     common(sp, cmd_compare)
+    sp.add_argument("--depth-cap", type=_at_least(0), default=None, dest="depth_cap")
 
     sp = sub.add_parser("spectrum", help="equilibrium and final stick spectra")
     common(sp, cmd_spectrum, labeling=True)

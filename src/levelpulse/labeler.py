@@ -92,6 +92,21 @@ def _scheme_from_segments(
     return LabelingScheme(Labeling(t.n_qubits, tuple(level_to_label)), style)
 
 
+def _contiguous_scheme(
+    d: MaximalSetDecomposition, t: Topology, order: Iterable[int], descending: set[int]
+) -> LabelingScheme:
+    # the sets in ``order`` on consecutive levels from the top, each chain
+    # ascending unless its set is in ``descending``
+    segments: dict[int, tuple[int, ...]] = {}
+    cursor = 0
+    for i in order:
+        length = len(d.sets[i])
+        seg = tuple(range(cursor, cursor + length))
+        segments[i] = seg[::-1] if i in descending else seg
+        cursor += length
+    return _scheme_from_segments(d, t, segments)
+
+
 def ols_quadrupolar(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
     """Canonical optimal labeling for the chain.
 
@@ -103,13 +118,7 @@ def ols_quadrupolar(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
         raise ValueError("optimal chain labeling needs a quadrupolar chain topology")
     if (1 << d.n_qubits) != t.level_count:
         raise ValueError("decomposition size does not match topology size")
-    segments: dict[int, tuple[int, ...]] = {}
-    cursor = 0
-    for i in _placement_order(d):
-        length = len(d.sets[i])
-        segments[i] = tuple(range(cursor, cursor + length))
-        cursor += length
-    return _scheme_from_segments(d, t, segments)
+    return _contiguous_scheme(d, t, _placement_order(d), set())
 
 
 def enumerate_ols_quadrupolar(
@@ -131,14 +140,7 @@ def enumerate_ols_quadrupolar(
     for order in itertools.permutations(range(len(d.sets))):
         for flips in itertools.product((False, True), repeat=len(multi)):
             descending = {i for i, flip in zip(multi, flips) if flip}
-            segments: dict[int, tuple[int, ...]] = {}
-            cursor = 0
-            for i in order:
-                length = len(d.sets[i])
-                seg = tuple(range(cursor, cursor + length))
-                segments[i] = seg[::-1] if i in descending else seg
-                cursor += length
-            yield _scheme_from_segments(d, t, segments)
+            yield _contiguous_scheme(d, t, order, descending)
             produced += 1
             if limit is not None and produced >= limit:
                 return

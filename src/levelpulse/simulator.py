@@ -2,9 +2,10 @@
 
 A pi_y pulse on one transition is the identity except for the 2x2 block
 (0, 1 / -1, 0) on its two levels, with the +1 in the upper triangle of
-the label-ordered basis.  Products are taken in application order with
-the first pulse leftmost, so the realized permutation is read along
-rows: the single nonzero entry of row j sits in the column the
+the label-ordered basis.  The product of a ``PulseSequence``, whose
+constructor has already checked every level, is taken in application
+order with the first pulse leftmost, so the realized permutation is read
+along rows: the single nonzero entry of row j sits in the column the
 amplitude of level j moves to, and its sign is the residual controlled
 phase.  Every product is therefore a signed permutation, tracked exactly
 as one destination level and one +1/-1 phase per row; verification
@@ -22,7 +23,7 @@ only by the dense fixture views ``pulse_unitary`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .labeler import LabelingScheme
 from .permutation import Permutation
@@ -48,9 +49,17 @@ __all__ = [
 ]
 
 
-def _ordered_levels(pulse: "Pulse | tuple[int, int]", dim: int) -> tuple[int, int]:
-    # (level carrying the lower label, the other level); bare level pairs
-    # use the levels themselves as labels
+def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
+    """Matrix of one transition-selective pi_y pulse.
+
+    The +1 entry sits in the row of the level carrying the lower label
+    (for bare level pairs the labels default to the levels themselves).
+    Applying the pulse twice leaves a -1 phase on both levels (a 2 pi
+    rotation) and the identity elsewhere.  This is the independent dense
+    reference for :func:`sequence_product`, so it checks its levels itself.
+    """
+    import numpy as np
+
     if isinstance(pulse, Pulse):
         a, b, label_a, label_b = pulse
     else:
@@ -59,20 +68,7 @@ def _ordered_levels(pulse: "Pulse | tuple[int, int]", dim: int) -> tuple[int, in
         raise ValueError("pulse levels must differ")
     if not (0 <= a < dim and 0 <= b < dim):
         raise ValueError("pulse levels ({}, {}) out of range for dim {}".format(a, b, dim))
-    return (a, b) if label_a < label_b else (b, a)
-
-
-def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
-    """Matrix of one transition-selective pi_y pulse.
-
-    The +1 entry sits in the row of the level carrying the lower label
-    (for bare level pairs the labels default to the levels themselves).
-    Applying the pulse twice leaves a -1 phase on both levels (a 2 pi
-    rotation) and the identity elsewhere.
-    """
-    import numpy as np
-
-    lo, hi = _ordered_levels(pulse, dim)
+    lo, hi = (a, b) if label_a < label_b else (b, a)
     m = np.eye(dim, dtype=complex)
     m[lo, lo] = m[hi, hi] = 0.0
     m[lo, hi] = 1.0
@@ -80,10 +76,8 @@ def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
     return m
 
 
-def sequence_product(
-    seq: "PulseSequence | Iterable[Pulse | tuple[int, int]]", dim: int | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact product of a pulse sequence in application order.
+def sequence_product(seq: PulseSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exact product of a ``PulseSequence`` in application order.
 
     Returns ``(realized, phases)``: the product's row j has its single
     nonzero entry ``phases[j]`` (+1 or -1) in column ``realized[j]``.
@@ -92,19 +86,14 @@ def sequence_product(
     sign flipped, so the whole product costs O(P + 2^N).  An empty
     sequence gives the identity.
     """
-    if isinstance(seq, PulseSequence):
-        pulses: Sequence = seq.pulses
-        dim = 1 << seq.n_qubits
-    else:
-        pulses = list(seq)
-        if dim is None:
-            raise ValueError("dim is required when passing a bare pulse list")
+    dim = 1 << seq.n_qubits
     row_at = list(range(dim))  # row whose nonzero entry sits in each column
     sign_at = [1] * dim  # and the sign of that entry
-    for pulse in pulses:
-        lo, hi = _ordered_levels(pulse, dim)
-        row_at[lo], row_at[hi] = row_at[hi], row_at[lo]
-        sign_at[lo], sign_at[hi] = -sign_at[hi], sign_at[lo]
+    for a, b, label_a, label_b in seq.pulses:
+        if label_a > label_b:  # a becomes the level carrying the lower label
+            a, b = b, a
+        row_at[a], row_at[b] = row_at[b], row_at[a]
+        sign_at[a], sign_at[b] = -sign_at[b], sign_at[a]
     realized = [0] * dim
     phases = [0] * dim
     for col, row in enumerate(row_at):
@@ -113,13 +102,11 @@ def sequence_product(
     return tuple(realized), tuple(phases)
 
 
-def sequence_unitary(
-    seq: "PulseSequence | Iterable[Pulse | tuple[int, int]]", dim: int | None = None
-) -> np.ndarray:
+def sequence_unitary(seq: PulseSequence) -> np.ndarray:
     """Dense matrix of :func:`sequence_product`, for small fixtures."""
     import numpy as np
 
-    realized, phases = sequence_product(seq, dim)
+    realized, phases = sequence_product(seq)
     u = np.zeros((len(realized), len(realized)), dtype=complex)
     u[np.arange(len(realized)), realized] = phases
     return u

@@ -18,17 +18,18 @@ Every step is polynomial.
 Pulses are always pi rotations about y on a single transition.  A pulse
 sequence also carries its partition into simultaneous rounds: pulses in
 one round touch pairwise disjoint levels, so reordering them never
-changes the product operator.  A routed program repeats each of its
-transitions many times, so each transition is built, checked and
-formatted once: the router reuses one ``Pulse`` per level pair, an
-unscheduled sequence validates each distinct pulse once, and the program
-text formats each distinct pulse, and each round number, once.
+changes the product operator.  Routed, placed and parsed pulses all
+come from ``_pulses``, one shared ``Pulse`` per level pair.  A routed
+program repeats each of its transitions many times, so each transition
+is built, checked and formatted once: an unscheduled sequence validates
+each distinct pulse once, and the program text formats each distinct
+pulse, and each round number, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .labeler import (
     COXETER,
@@ -160,6 +161,18 @@ def _pulse(t: Topology, labeling: Labeling, a: int, b: int) -> Pulse:
     return Pulse(a, b, labeling.level_to_label[a], labeling.level_to_label[b])
 
 
+def _pulses(
+    t: Topology, labeling: Labeling, pairs: Sequence[tuple[int, int]]
+) -> list[Pulse]:
+    """The pulses on these level pairs, in order, one shared ``Pulse`` per pair.
+
+    Each distinct pair is built and checked once, in order of first
+    appearance, so the first pair that is not a transition raises.
+    """
+    made = {pair: _pulse(t, labeling, *pair) for pair in dict.fromkeys(pairs)}
+    return list(map(made.__getitem__, pairs))
+
+
 def synthesize_on_path(
     mset: MaximalSet, levels: tuple[int, ...], t: Topology, labeling: Labeling
 ) -> list[Pulse]:
@@ -173,10 +186,8 @@ def synthesize_on_path(
         return []
     if len(levels) != len(mset):
         raise ValueError("placement length does not match set size")
-    return [
-        _pulse(t, labeling, levels[i], levels[i + 1])
-        for i in range(len(levels) - 2, -1, -1)
-    ]
+    pairs = [(levels[i], levels[i + 1]) for i in range(len(levels) - 2, -1, -1)]
+    return _pulses(t, labeling, pairs)
 
 
 def synthesize_scheme(
@@ -203,7 +214,7 @@ def synthesize_scheme(
             size = len(levels)
             pairs = [(i, size - 1 - i) for i in range(size // 2)]
             pairs += [(i, size - i) for i in range(1, (size + 1) // 2)]
-            pulses.extend(_pulse(t, labeling, levels[i], levels[j]) for i, j in pairs)
+            pulses.extend(_pulses(t, labeling, [(levels[i], levels[j]) for i, j in pairs]))
         else:
             pulses.extend(synthesize_on_path(mset, levels, t, labeling))
     return _unscheduled(t.n_qubits, pulses)
@@ -424,9 +435,7 @@ def synthesize_fixed_labeling(
         raw = _hypercube_pulses(sigma, t)
     if depth_cap is not None and len(raw) > depth_cap:
         raise SynthesisError(len(raw), depth_cap)
-    # a routed program pulses each transition many times: build and check it once
-    made = {edge: _pulse(t, labeling, *edge) for edge in dict.fromkeys(raw)}
-    return _unscheduled(t.n_qubits, list(map(made.__getitem__, raw)))
+    return _unscheduled(t.n_qubits, _pulses(t, labeling, raw))
 
 
 def schedule_rounds(seq: PulseSequence) -> PulseSequence:
@@ -578,22 +587,23 @@ def parse_pulse_program(text: str, t: Topology, labeling: Labeling) -> PulseSequ
     Levels must form topology edges; label annotations are restored from
     the labeling, not trusted from the comments.
     """
-    entries: list[tuple[int, int, int]] = []
+    rounds_seen: list[int] = []
+    pairs: list[tuple[int, int]] = []
     for raw in text.splitlines():
         parts = raw.partition("#")[0].split()
         if not parts:
             continue
         if len(parts) != 4 or parts[1] != "pi_y":
             raise ValueError("bad pulse line {!r}".format(raw))
-        entries.append((int(parts[0]), int(parts[2]), int(parts[3])))
-    if not entries:
+        rounds_seen.append(int(parts[0]))
+        pairs.append((int(parts[2]), int(parts[3])))
+    if not pairs:
         return PulseSequence(t.n_qubits, (), ())
-    rounds_seen = [r for r, _, _ in entries]
     if rounds_seen != sorted(rounds_seen) or rounds_seen[0] != 1:
         raise ValueError("round indices must be non-decreasing from 1")
     if any(b - a > 1 for a, b in zip(rounds_seen, rounds_seen[1:])):
         raise ValueError("round indices must be contiguous")
-    pulses = tuple(_pulse(t, labeling, a, b) for _, a, b in entries)
+    pulses = tuple(_pulses(t, labeling, pairs))
     sizes = [0] * rounds_seen[-1]
     for r in rounds_seen:
         sizes[r - 1] += 1

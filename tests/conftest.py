@@ -1,6 +1,6 @@
 import pytest
 
-from levelpulse import builtin_operation
+from levelpulse import Pulse, PulseSequence, builtin_operation
 
 # transcription of the reference 4-qubit adder truth table
 FULL_ADDER_DOC = """\
@@ -38,3 +38,9 @@ S8={|1110>,|1111>}"""
 @pytest.fixture
 def full_adder():
     return builtin_operation("fulladder4")
+
+
+def one_per_round(n_qubits, pulses):
+    """A one-pulse-per-round sequence; a bare level pair is labelled by its levels."""
+    pulses = tuple(p if isinstance(p, Pulse) else Pulse(*p, *p) for p in pulses)
+    return PulseSequence(n_qubits, pulses, (1,) * len(pulses))

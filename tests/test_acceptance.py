@@ -44,7 +44,7 @@ from levelpulse import (
     verify_permutation,
 )
 
-from conftest import FULL_ADDER_SETS
+from conftest import FULL_ADDER_SETS, one_per_round
 
 CYCLE4_MATRIX = np.array(
     [[0, 0, 1, 0], [0, 0, 0, 1], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=complex
@@ -160,14 +160,14 @@ def test_criterion_4_matrix_fixtures(full_adder):
     chain = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, chain)
     seq = synthesize_scheme(d, scheme, chain)
-    u = sequence_unitary(seq.pulses[:3], 16)
+    u = sequence_unitary(one_per_round(4, seq.pulses[:3]))
     rows = [scheme.labeling.level_of(x) for x in (0b0100, 0b0101, 0b0110, 0b0111)]
     sub_chain = u[np.ix_(rows, rows)]
 
     cube = build_topology(SPIN_HALF_HYPERCUBE, 4)
     cl = fixed_scheme(conventional_labeling(cube))
     seq_cube = synthesize_fixed_labeling(full_adder, cl, cube)
-    u_cube = sequence_unitary(seq_cube.pulses[:3], 16)
+    u_cube = sequence_unitary(one_per_round(4, seq_cube.pulses[:3]))
     sub_cube = u_cube[np.ix_([4, 5, 6, 7], [4, 5, 6, 7])]
 
     ok = np.allclose(sub_chain, CYCLE4_MATRIX, rtol=0, atol=1e-12) and np.allclose(

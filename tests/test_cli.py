@@ -322,6 +322,26 @@ def test_spectrum_ascii_bars():
     assert "+1  |#" in result.stdout
 
 
+# sha256 of the spectrum stdout for fulladder4 swap:2,4 under cl labeling
+SPECTRUM_CL_DIGESTS = {
+    "chain": "0debd66220ed15ad428802fa914d4c6ad027881ef479602b355a74e48d262466",
+    "hypercube": "b1fd0d75393194bec5f91f15d49645c0070a5fd93255e01fc6646e6c893ea4fc",
+}
+
+
+@pytest.mark.parametrize("topology", sorted(SPECTRUM_CL_DIGESTS))
+def test_spectrum_does_not_route(topology, monkeypatch, capsys):
+    # a spectrum needs the labeling only, never the routed program
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum routed the program")
+
+    monkeypatch.setattr(cli.synthesizer, "synthesize_fixed_labeling", refuse)
+    argv = ["spectrum", "--topology", topology, "--labeling", "cl", "fulladder4", "swap:2,4"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_CL_DIGESTS[topology]
+
+
 def test_synthesis_failure_exit_code(tmp_path):
     # antipodal swap on the 4-qubit hypercube cannot be routed within a
     # depth cap of 3; the compiler must fail loudly
@@ -363,6 +383,17 @@ def test_hard_edges_exit_2_without_traceback(args):
     result = run_cli(*args)
     assert result.returncode == 2
     assert "error:" in result.stderr.strip().splitlines()[-1]
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command", [("verify", "--program", "p", "--labeling-table", "l"), ("spectrum",), ("enumerate",)]
+)
+def test_depth_cap_only_where_programs_are_routed(command):
+    # only compile and compare route a program, so only they take a depth cap
+    result = run_cli(*command, "--depth-cap", "1", "fulladder4")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --depth-cap" in result.stderr
     assert "Traceback" not in result.stderr
 
 

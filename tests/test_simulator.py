@@ -24,6 +24,8 @@ from levelpulse import (
     verify_permutation,
 )
 
+from conftest import one_per_round
+
 CYCLE4_MATRIX = np.array(
     [[0, 0, 1, 0], [0, 0, 0, 1], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=complex
 )
@@ -73,16 +75,16 @@ def test_pulse_unitary_level_errors(pair):
 
 
 def test_sequence_unitary_empty_is_identity():
-    assert np.array_equal(sequence_unitary([], 4), np.eye(4, dtype=complex))
+    assert np.array_equal(sequence_unitary(one_per_round(2, [])), np.eye(4, dtype=complex))
 
 
 def test_sequence_unitary_cycle_product():
-    u = sequence_unitary([(1, 3), (1, 2), (0, 2)], 4)
+    u = sequence_unitary(one_per_round(2, [(1, 3), (1, 2), (0, 2)]))
     assert np.array_equal(u, CYCLE4_MATRIX)
 
 
 def test_sequence_unitary_reordered_bridge_product():
-    u = sequence_unitary([(1, 3), (0, 2), (0, 1)], 4)
+    u = sequence_unitary(one_per_round(2, [(1, 3), (0, 2), (0, 1)]))
     assert np.array_equal(u, CYCLE4_MATRIX)
 
 
@@ -105,7 +107,7 @@ def test_products_are_unitary_random():
             assert any(pulse.label_a > pulse.label_b for pulse in choices)
         for _ in range(20):
             pulses = [choices[rng.randrange(len(choices))] for _ in range(10)]
-            u = sequence_unitary(pulses, 8)
+            u = sequence_unitary(one_per_round(3, pulses))
             reference = np.eye(8, dtype=complex)
             for pulse in pulses:
                 reference = reference @ pulse_unitary(pulse, 8)
@@ -117,15 +119,17 @@ def test_products_are_unitary_random():
     "pair", [(2, 2), (0, 4), (-1, 2), Pulse(0, 0, 0, 0), Pulse(3, 4, 3, 4)]
 )
 def test_sequence_product_level_errors(pair):
+    # sequence_product trusts its input: the PulseSequence constructor refuses these
     with pytest.raises(ValueError):
-        sequence_product([(0, 1), pair], 4)
+        one_per_round(2, [(0, 1), pair])
 
 
 def test_verify_cycle_pass_with_phases():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     scheme = fixed_scheme(conventional_labeling(t))
     p = Permutation(2, (2, 3, 1, 0))
-    verdict = verify_permutation(sequence_product([(1, 3), (1, 2), (0, 2)], 4), p, scheme)
+    product = sequence_product(one_per_round(2, [(1, 3), (1, 2), (0, 2)]))
+    verdict = verify_permutation(product, p, scheme)
     assert verdict.passed
     assert verdict.realized == (2, 3, 1, 0)
     assert verdict.phases == (1 + 0j, 1 + 0j, -1 + 0j, 1 + 0j)
@@ -134,7 +138,8 @@ def test_verify_cycle_pass_with_phases():
 def test_verify_identity():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     scheme = fixed_scheme(conventional_labeling(t))
-    verdict = verify_permutation(sequence_product([], 4), Permutation.identity(2), scheme)
+    product = sequence_product(one_per_round(2, []))
+    verdict = verify_permutation(product, Permutation.identity(2), scheme)
     assert verdict.passed
     assert verdict.phases == (1 + 0j,) * 4
 
@@ -143,7 +148,8 @@ def test_verify_wrong_permutation_fails():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     scheme = fixed_scheme(conventional_labeling(t))
     three_cycle = Permutation(2, (1, 2, 0, 3))
-    verdict = verify_permutation(sequence_product([(0, 1)], 4), three_cycle, scheme)
+    product = sequence_product(one_per_round(2, [(0, 1)]))
+    verdict = verify_permutation(product, three_cycle, scheme)
     assert not verdict.passed
     assert verdict.realized == (1, 0, 2, 3)
     assert verdict.problems
@@ -152,8 +158,9 @@ def test_verify_wrong_permutation_fails():
 def test_verify_dimension_mismatch():
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     scheme = fixed_scheme(conventional_labeling(t))
+    product = sequence_product(one_per_round(3, []))
     with pytest.raises(ValueError, match="dimension"):
-        verify_permutation(sequence_product([], 8), Permutation.identity(2), scheme)
+        verify_permutation(product, Permutation.identity(2), scheme)
 
 
 def test_equilibrium_hypercube_populations():

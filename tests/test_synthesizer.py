@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levelpulse import (
+    Labeling,
     Permutation,
     Pulse,
     PulseSequence,
@@ -37,6 +38,8 @@ from levelpulse import (
 )
 from levelpulse.permutation import cycles
 from levelpulse.synthesizer import _detour_pulses, _exact_cycle_pulses
+
+from conftest import one_per_round
 
 # product operator of the three pulses cycling a 4-state chain, written in
 # ascending label order of the subspace
@@ -81,7 +84,7 @@ def test_on_path_product_matches_cycle_matrix(full_adder):
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
     pulses = synthesize_on_path(d.sets[4], chain_levels(scheme, d.sets[4]), t, scheme.labeling)
-    u = sequence_unitary(pulses, 16)
+    u = sequence_unitary(one_per_round(4, pulses))
     sub = label_subspace(u, scheme.labeling, [0b0100, 0b0101, 0b0110, 0b0111])
     assert np.array_equal(sub, CYCLE4_MATRIX)
 
@@ -100,7 +103,7 @@ def test_on_path_second_cycle_population_action(full_adder):
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
     pulses = synthesize_on_path(d.sets[5], chain_levels(scheme, d.sets[5]), t, scheme.labeling)
-    u = sequence_unitary(pulses, 16)
+    u = sequence_unitary(one_per_round(4, pulses))
     lab = scheme.labeling
     for src, dst in [(0b1000, 0b1010), (0b1010, 0b1001), (0b1001, 0b1011), (0b1011, 0b1000)]:
         row = lab.level_of(src)
@@ -137,7 +140,7 @@ def test_fixed_labeling_hypercube_adder(full_adder):
     # first cycle is realized by the outer pulses then the bridging one
     first = [p.levels for p in seq.pulses[:3]]
     assert sorted(first) == [(4, 5), (4, 6), (5, 7)]
-    u = sequence_unitary(seq.pulses[:3], 16)
+    u = sequence_unitary(one_per_round(4, seq.pulses[:3]))
     sub = label_subspace(u, cl.labeling, [0b0100, 0b0101, 0b0110, 0b0111])
     assert np.array_equal(sub, CYCLE4_MATRIX)
 
@@ -148,13 +151,13 @@ def test_reordered_factorization_same_operator():
     lab = conventional_labeling(t)
     scheme = fixed_scheme(lab)
     chain_track = [(1, 3), (1, 2), (0, 2)]
-    u_chain = sequence_unitary(chain_track, 4)
+    u_chain = sequence_unitary(one_per_round(2, chain_track))
     reordered = [(1, 3), (0, 2), (0, 1)]
-    u_re = sequence_unitary(reordered, 4)
+    u_re = sequence_unitary(one_per_round(2, reordered))
     assert np.array_equal(u_chain, u_re)
     assert np.array_equal(u_re, CYCLE4_MATRIX)
     p = Permutation(2, (2, 3, 1, 0))
-    assert verify_permutation(sequence_product(reordered, 4), p, scheme).passed
+    assert verify_permutation(sequence_product(one_per_round(2, reordered)), p, scheme).passed
 
 
 def test_chain_fixed_labeling_length_is_inversion_count():
@@ -311,6 +314,10 @@ PULSE_PROGRAM_ERRORS = {
     "1  pi_y  0  0": ("levels (0, 0) are not a single-quantum transition",) * 2,
     "1  pi_y  1  5": ("levels (1, 5) are not a single-quantum transition",) * 2,
     "1  pi_y  -2  -1": ("levels (-2, -1) are not a single-quantum transition",) * 2,
+    # a repeated pulse first: the first line off the topology is still named
+    "1  pi_y  0  1\n2  pi_y  0  1\n3  pi_y  0  3\n4  pi_y  1  5": (
+        "levels (0, 3) are not a single-quantum transition",
+    ) * 2,
 }
 
 
@@ -398,26 +405,41 @@ def reference_program(seq):
 
 
 @st.composite
-def _pulse_sequences(draw):
-    # a few transitions drawn many times, one pulse per round or scheduled
+def _labeled_programs(draw):
+    # a labeling and a few of its transitions drawn many times, one pulse
+    # per round or scheduled
     kind = draw(st.sampled_from([QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE]))
     n = draw(st.integers(1, 8))
     t = build_topology(kind, n)
-    labels = draw(st.permutations(range(1 << n)))
+    labeling = Labeling(n, tuple(draw(st.permutations(range(1 << n)))))
     pool = [
-        Pulse(a, b, labels[a], labels[b])
+        Pulse(a, b, labeling.label_of(a), labeling.label_of(b))
         for a, b in draw(st.lists(st.sampled_from(t.edges), min_size=1, max_size=6))
     ]
     pulses = draw(st.lists(st.sampled_from(pool), max_size=60))
     seq = PulseSequence(n, tuple(pulses), (1,) * len(pulses))
-    return schedule_rounds(seq) if draw(st.booleans()) else seq
+    return t, labeling, schedule_rounds(seq) if draw(st.booleans()) else seq
+
+
+EMPTY_PROGRAM = (build_topology(QUADRUPOLAR_CHAIN, 1), Labeling(1, (0, 1)), PulseSequence(1, (), ()))
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(seq=_pulse_sequences())
-@example(seq=PulseSequence(1, (), ()))
-def test_serialize_matches_per_pulse_reference(seq):
+@given(program=_labeled_programs())
+@example(program=EMPTY_PROGRAM)
+def test_serialize_matches_per_pulse_reference(program):
+    _, _, seq = program
     assert serialize_pulse_program(seq) == reference_program(seq)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(program=_labeled_programs())
+@example(program=EMPTY_PROGRAM)
+def test_parse_round_trip_builds_each_transition_once(program):
+    t, labeling, seq = program
+    parsed = parse_pulse_program(serialize_pulse_program(seq), t, labeling)
+    assert parsed == seq
+    assert len({id(pulse) for pulse in parsed.pulses}) == len(set(parsed.pulses))
 
 
 def naive_schedule(seq):
@@ -480,7 +502,7 @@ def assert_factors_cycle(pulses, cyc, t):
         mapping[a] = b
     assert len(pulses) == len(cyc) - 1, cyc
     assert all(a < b and t.is_edge(a, b) for a, b in pulses), cyc
-    assert sequence_product(pulses, t.level_count)[0] == tuple(mapping), cyc
+    assert sequence_product(one_per_round(t.n_qubits, pulses))[0] == tuple(mapping), cyc
 
 
 def assert_matches_backtracking(cyc, t):
@@ -543,7 +565,7 @@ def test_detour_routes_adder_swap_cycle(full_adder):
     mapping = list(range(16))
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         mapping[a] = b
-    assert sequence_product(pulses, 16)[0] == tuple(mapping)
+    assert sequence_product(one_per_round(4, pulses))[0] == tuple(mapping)
 
 
 def _edge_product(n, swaps):
