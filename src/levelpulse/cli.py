@@ -17,6 +17,7 @@ than ``--depth-cap`` pulses (``compile``, ``compare``), 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -256,17 +257,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "qubits: {}".format(p.n_qubits),
         "formula-count: {}".format(count_optimal_labelings(d)),
     ]
-    count = 0
-    shown = []
-    for scheme in labeler.enumerate_ols_quadrupolar(d, t, args.limit):
-        count += 1
-        if count <= args.show:
-            labels = " ".join(
-                scheme.labeling.label_bits(lv) for lv in range(t.level_count)
-            )
-            shown.append("scheme {}: {}".format(count, labels))
-    lines.append("enumerated: {}".format(count))
-    lines.extend(shown)
+    # count the family's layouts; build only the schemes that are shown
+    lines.append("enumerated: {}".format(sum(1 for _ in labeler._ols_layouts(d, args.limit))))
+    schemes = labeler.enumerate_ols_quadrupolar(d, t, args.limit)
+    for k, scheme in enumerate(itertools.islice(schemes, args.show), 1):
+        labels = " ".join(scheme.labeling.label_bits(lv) for lv in range(t.level_count))
+        lines.append("scheme {}: {}".format(k, labels))
     print("\n".join(lines))
     return EXIT_OK
 

@@ -12,7 +12,9 @@ permutation, achieved by odd-even transposition sort.  On the hypercube
 an orbit factors into |S| - 1 pulses exactly when it passes a
 non-crossing-tree test, an interval DP whose tables also give those
 pulses; other orbits take one detour through an outside level or a
-token-swapping router, so the count is then an upper bound.
+token-swapping router, so the count is then an upper bound.  The
+hypercube program is the better of two such routings, of sigma and of
+sigma^-1 reversed, never worse than the first in pulses or rounds.
 Every step is polynomial.
 
 Pulses are always pi rotations about y on a single transition.  A pulse
@@ -29,7 +31,7 @@ pulse, and each round number, once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .labeler import (
     COXETER,
@@ -279,14 +281,20 @@ def _exact_cycle_pulses(
     col = [1 << r for r in range(k)]  # col[r] has bit l when N[l][r]
     chords = [0] * k  # chords[l] has bit m when T[l][m]
     for l in range(k - 1, -1, -1):
-        row[l] = 1 << l
-        near = sum(1 << pos[v] for v in t.neighbors[cycle[l]] if pos.get(v, l) > l)
+        near = 0  # bit m for each neighbour on a later position m
+        for v in t.neighbors[cycle[l]]:
+            m = pos.get(v, l)
+            if m > l:
+                near |= 1 << m
+        n_l, t_l = 1 << l, 0  # row[l] and chords[l] as they grow with r
         for r in range(l + 1, k):
-            if near >> r & 1 and row[l] & col[r] >> 1:
-                chords[l] |= 1 << r
-            if chords[l] & col[r]:
-                row[l] |= 1 << r
-                col[r] |= 1 << l
+            c = col[r]
+            if near >> r & 1 and n_l & c >> 1:
+                t_l |= 1 << r
+            if t_l & c:
+                n_l |= 1 << r
+                col[r] = c | 1 << l
+        row[l], chords[l] = n_l, t_l
     if not row[0] >> (k - 1) & 1:
         return None
     out: list[tuple[int, int]] = []
@@ -311,17 +319,21 @@ def _detour_pulses(
     The first pulse swaps some c_i with a neighbour v outside the cycle;
     the rest factor the longer cycle with v inserted after c_i exactly.
     Candidates go in lexicographic order of that first edge.  Returns
-    None when no detour works; any len + 1 pulses must move the
-    populations at most 2 len + 2 steps, which is checked first.
+    None when no detour works.  The longer cycle's k = len + 1 pulses
+    move its populations at most 2k - 2 steps, and inserting v keeps its
+    displacement when v lies between c_i and c_(i+1) and adds 2
+    otherwise, so only candidates within that budget reach the DP.
     """
-    if _displacement(cycle) > 2 * len(cycle) + 2:
+    size = len(cycle)
+    spare = 2 * size - _displacement(cycle)
+    if spare < 0:
         return None
     members = set(cycle)
     detours = sorted(
         ((min(c, v), max(c, v)), i, v)
-        for i, c in enumerate(cycle)
+        for i, (c, after) in enumerate(zip(cycle, cycle[1:] + cycle[:1]))
         for v in t.neighbors[c]
-        if v not in members
+        if v not in members and (spare >= 2 or (c ^ v) & (c ^ after))
     )
     for first, i, v in detours:
         rest = _exact_cycle_pulses(cycle[: i + 1] + (v,) + cycle[i + 1 :], t)
@@ -343,37 +355,45 @@ def _route_tokens(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
     them are finite and the router always ends.
     """
     goal = list(sigma)  # goal[lv]: destination of the population now on lv
-    bits = [1 << i for i in range(t.n_qubits)]
     out: list[tuple[int, int]] = []
 
     def swap(a: int, b: int) -> None:
         goal[a], goal[b] = goal[b], goal[a]
-        out.append((min(a, b), max(a, b)))
+        out.append((a, b) if a < b else (b, a))
 
-    def pointer(u: int) -> int:
-        # a closer neighbour, one holding a misplaced population if any
-        closer = [u ^ bit for bit in bits if (u ^ goal[u]) & bit]
-        return next((v for v in closer if goal[v] != v), closer[0])
-
+    # the bits a population on lv must still flip are lv ^ goal[lv], taken
+    # lowest first; ``need & -need`` is the lowest of them
     todo = [lv for lv, g in enumerate(goal) if g != lv]
     while True:
         while todo:
             a = todo.pop()
-            for bit in bits:
+            need = a ^ goal[a]
+            while need:
+                bit = need & -need
                 b = a ^ bit
-                if (a ^ goal[a]) & bit and (b ^ goal[b]) & bit:
+                if (b ^ goal[b]) & bit:
                     swap(a, b)
-                    todo += [a, b]
+                    todo += (a, b)
                     break
+                need ^= bit
         start = next((lv for lv, g in enumerate(goal) if g != lv), None)
         if start is None:
             return out
         path, seen = [start], {start: 0}
         while True:
-            v = pointer(path[-1])
+            # a closer neighbour, one holding a misplaced population if any
+            u = path[-1]
+            need = u ^ goal[u]
+            v = u ^ (need & -need)
+            while need:
+                w = u ^ (need & -need)
+                if goal[w] != w:
+                    v = w
+                    break
+                need &= need - 1
             if goal[v] == v:
-                swap(path[-1], v)
-                todo = [path[-1], v]
+                swap(u, v)
+                todo = [u, v]
                 break
             if v in seen:
                 ring = path[seen[v] :]
@@ -386,23 +406,81 @@ def _route_tokens(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
 
 
 def _hypercube_pulses(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
+    """Route sigma orbit by orbit, or as a whole when the router is shorter.
+
+    Each orbit is factored exactly, else by one detour, else by the
+    router on that orbit alone; when some orbit is not exact, the router
+    also runs on the whole permutation and the shorter program is kept,
+    the per-orbit one on a tie.
+    """
     orbits = [c for c in cycles(sigma) if len(c) > 1]
+    exact = [_exact_cycle_pulses(cyc, t) for cyc in orbits]
+    if None not in exact:
+        return [pulse for got in exact for pulse in got]
+    whole = _route_tokens(sigma, t)
+    # an orbit that fails the tree test takes at least len + 1 pulses (len - 1
+    # would need a tree, and every count has the parity of len - 1), so once
+    # this floor of the per-orbit program passes the whole-permutation
+    # router, the router's program is kept
+    floor = sum(len(cyc) + (1 if got is None else -1) for cyc, got in zip(orbits, exact))
     raw: list[tuple[int, int]] = []
-    for cyc in orbits:
-        got = _exact_cycle_pulses(cyc, t)
+    for cyc, got in zip(orbits, exact):
+        if floor > len(whole):
+            break
         if got is None:
             got = _detour_pulses(cyc, t)
-        if got is None:
-            alone = list(range(len(sigma)))
-            for lv in cyc:
-                alone[lv] = sigma[lv]
-            got = _route_tokens(tuple(alone), t)
+            if got is None:
+                alone = list(range(len(sigma)))
+                for lv in cyc:
+                    alone[lv] = sigma[lv]
+                got = _route_tokens(tuple(alone), t)
+            floor += len(got) - len(cyc) - 1
         raw.extend(got)
-    if len(raw) > sum(len(c) - 1 for c in orbits):
-        whole = _route_tokens(sigma, t)
-        if len(whole) < len(raw):
-            return whole
-    return raw
+    return whole if floor > len(whole) else raw
+
+
+def _hypercube_candidates(
+    sigma: tuple[int, ...], t: Topology
+) -> Iterator[list[tuple[int, int]]]:
+    """Routings of sigma on the hypercube, each a program for sigma.
+
+    In order: sigma's own, then sigma^-1's with its pulse list reversed,
+    which realizes sigma because each transposition is its own inverse.
+    """
+    inverse = [0] * len(sigma)
+    for lv, dst in enumerate(sigma):
+        inverse[dst] = lv
+    yield _hypercube_pulses(sigma, t)
+    yield _hypercube_pulses(tuple(inverse), t)[::-1]
+
+
+def _hypercube_program(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
+    """The best of ``_hypercube_candidates``, never worse than the first.
+
+    Among candidates with at most the pulses and at most the rounds of
+    the sigma routing, the one with the fewest (pulses, rounds) wins, the
+    earlier on a tie.  The search stops at a candidate that meets both
+    lower bounds: 2^N - #cycles pulses, and as many rounds as the largest
+    Hamming distance sigma moves a level.
+    """
+    size = len(sigma)
+    farthest = max((lv ^ dst).bit_count() for lv, dst in enumerate(sigma))
+    bounds = (size - len(cycles(sigma)), farthest)
+
+    def cost(pulses: list[tuple[int, int]]) -> tuple[int, int]:
+        return len(pulses), max(_round_numbers(pulses, size), default=0)
+
+    found = _hypercube_candidates(sigma, t)
+    best = next(found)
+    limit = best_cost = cost(best)
+    while best_cost != bounds:
+        pulses = next(found, None)
+        if pulses is None:
+            break
+        got = cost(pulses)
+        if got < best_cost and got[1] <= limit[1]:
+            best, best_cost = pulses, got
+    return best
 
 
 def synthesize_fixed_labeling(
@@ -422,40 +500,52 @@ def synthesize_fixed_labeling(
     the orbit passes it; |S| + 1 pulses through one outside level; the
     token-swapping router on that orbit alone.  If that spends more than
     the sum of |S| - 1, the router also runs on the whole permutation and
-    the shorter program is kept (the per-orbit one on a tie).  So the
-    hypercube count is minimal when every orbit passes the tree test and
-    otherwise an upper bound.  Every step is polynomial.  A program longer than
-    ``depth_cap`` pulses raises ``SynthesisError``.
+    the shorter program is kept (the per-orbit one on a tie).  That routes
+    sigma; ``_hypercube_program`` also routes sigma^-1 and keeps its
+    reversed program when that is no worse than sigma's in pulses or
+    rounds and better in one.  So the hypercube count is minimal when
+    every orbit passes the tree test and otherwise an upper bound.  Every
+    step is polynomial.  A program longer than ``depth_cap`` pulses raises
+    ``SynthesisError``.
     """
     labeling = scheme.labeling
     sigma = labeling.induced(p)
     if t.kind == QUADRUPOLAR_CHAIN:
         raw = _odd_even_pulses(sigma)
     else:
-        raw = _hypercube_pulses(sigma, t)
+        raw = _hypercube_program(sigma, t)
     if depth_cap is not None and len(raw) > depth_cap:
         raise SynthesisError(len(raw), depth_cap)
     return _unscheduled(t.n_qubits, _pulses(t, labeling, raw))
 
 
-def schedule_rounds(seq: PulseSequence) -> PulseSequence:
-    """Pack pulses into the earliest round that respects level conflicts.
+def _round_numbers(pulses: Sequence[Sequence[int]], level_count: int) -> list[int]:
+    """The round, from 1, of each pulse packed as early as level conflicts allow.
 
     A pulse lands one round after the latest earlier pulse it shares a
-    level with, so only commuting (level-disjoint) pulses are reordered
-    and the product operator never changes.  The latest pulse on a level
-    holds that level's highest round, so one pass with a per-level
-    record suffices.
+    level with.  The latest pulse on a level holds that level's highest
+    round, so one pass with a per-level record suffices.
     """
-    last_round = [0] * (1 << seq.n_qubits)  # 1-based; 0 = level not pulsed yet
-    rounds: list[list[Pulse]] = []
-    for pulse in seq.pulses:
+    last_round = [0] * level_count  # 0 = level not pulsed yet
+    numbers: list[int] = []
+    for pulse in pulses:
         a, b = pulse[0], pulse[1]
-        r = max(last_round[a], last_round[b])
-        if r == len(rounds):
-            rounds.append([])
+        r = last_round[a] = last_round[b] = max(last_round[a], last_round[b]) + 1
+        numbers.append(r)
+    return numbers
+
+
+def schedule_rounds(seq: PulseSequence) -> PulseSequence:
+    """Pack pulses into the rounds ``_round_numbers`` gives them.
+
+    Only commuting (level-disjoint) pulses are reordered, so the product
+    operator never changes; within a round pulses keep their order.
+    """
+    numbers = _round_numbers(seq.pulses, 1 << seq.n_qubits)
+    rounds: list[list[Pulse]] = [[] for _ in range(max(numbers, default=0) + 1)]
+    for r, pulse in zip(numbers, seq.pulses):
         rounds[r].append(pulse)
-        last_round[a] = last_round[b] = r + 1
+    del rounds[0]  # round numbers start at 1
     return PulseSequence(
         seq.n_qubits,
         tuple(pulse for rnd in rounds for pulse in rnd),

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FULL_ADDER_DOC
-from levelpulse import cli
+from levelpulse import cli, labeler
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -367,6 +367,28 @@ def test_enumerate_with_limit_and_show():
     assert result.stdout.count("scheme ") == 2
 
 
+# sha256 of the enumerate stdout per option list, the same whether every
+# scheme is built or only the shown ones
+ENUMERATE_DIGESTS = {
+    ("--show", "0"): "18d58b0cb01091d6210f1b41eda0bc8876a236b8e0c0c08cd490ea6a9b89330f",
+    ("--limit", "5", "--show", "2"): "00fc031b2509587a36fb81ee05e11595cce8b0c21f842862a07eab116512cb9c",
+    ("--limit", "10", "--show", "3"): "f14a297cf12234a86c7ec77df41e026b7796eb902c137e05845c24226356d66f",
+}
+
+
+@pytest.mark.parametrize("options", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_builds_only_the_schemes_it_shows(options, monkeypatch, capsys):
+    built = []
+    contiguous = labeler._contiguous_scheme
+    monkeypatch.setattr(
+        labeler, "_contiguous_scheme", lambda *args: built.append(args) or contiguous(*args)
+    )
+    assert cli.main(["enumerate", "fulladder4", *options]) == 0
+    out = capsys.readouterr().out
+    assert len(built) == out.count("scheme ") <= int(options[-1])
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[options]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -421,14 +443,15 @@ SCHEME_PAIRS = (
 )
 
 # sha256 per scheme pair over the compile and verify stdout of
-# test_compile_verify_stdout_digest
+# test_compile_verify_stdout_digest; a hypercube cl program is the better
+# of two routings, of sigma and of sigma^-1 reversed
 ROUND_TRIP_DIGESTS = {
     ("chain", "ols"): "06419d500a474c83fedded0dfb6365351c8539d68a653d2ba88ef31cb7b8d33a",
     ("chain", "cl"): "8882140fded79e73e17fd9642851130a377896f81271d9459262946b8d710e3d",
     ("chain", "gray"): "2758b53f3a0b2de6385b75a07fcc5151a8dc099848efaadd61b3ad2961d366a2",
     ("hypercube", "pairswap"): "9a52b2c0d2b6c293b6d953d2d220d13fc39abdbc7878ee31490d72af76e70093",
     ("hypercube", "parallel"): "92e36772daa8d486e098fc79fb399d4058a0ea020cc7660950d6cca0a34fae59",
-    ("hypercube", "cl"): "f23390356f4d8c8e774710b49cbffa9385207671e66c2a522c722946b987efa2",
+    ("hypercube", "cl"): "2d1ee8fa52b930015f465d4474ee0d050cab5afd2321bb2908ede784c9748c98",
 }
 
 
