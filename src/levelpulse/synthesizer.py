@@ -12,9 +12,11 @@ permutation, achieved by odd-even transposition sort.  On the hypercube
 an orbit factors into |S| - 1 pulses exactly when it passes a
 non-crossing-tree test, an interval DP whose tables also give those
 pulses; other orbits take one detour through an outside level or a
-token-swapping router, so the count is then an upper bound.  The
-hypercube program is the better of two such routings, of sigma and of
-sigma^-1 reversed, never worse than the first in pulses or rounds.
+token-swapping router, so the count is then an upper bound.  The router
+swaps in level-disjoint phases, and runs from four starts that share
+one per-orbit factorization: sigma, sigma^-1 reversed, and their
+conjugates by the bit complement mapped back.  The hypercube program is
+the best of these, never worse than sigma's own in pulses or rounds.
 Every step is polynomial.
 
 Pulses are always pi rotations about y on a single transition.  A pulse
@@ -345,12 +347,20 @@ def _detour_pulses(
 def _route_tokens(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
     """Edge transpositions carrying every population home on the hypercube.
 
-    Token swapping after Miltzow et al. (ESA 2016): do every happy swap
-    (both populations move closer); otherwise follow closer-neighbour
-    pointers from the first misplaced level until they close a ring,
-    which is rotated, or reach a settled population, which takes one
-    unhappy swap.  Happy swaps and rings shorten the total distance.  An
-    unhappy swap keeps it, unsettles one population and settles none
+    Token swapping after Miltzow et al. (ESA 2016), in level-disjoint
+    phases of happy swaps (both populations move closer), as in parallel
+    token swapping (Kawahara, Saitoh and Yoshinaka, WALCOM 2017).  A
+    phase scans levels in ascending order and swaps each level a not yet
+    used in it with the neighbour across the lowest bit of a ^ goal[a]
+    that is unused and needs that bit too.  The first phase scans every
+    misplaced level, each later one the misplaced levels the previous
+    step touched: a pair turns happy only when one of its populations
+    moves, and a happy pair skipped in a phase has a used level, so a
+    phase without a swap proves there is no happy swap.  Then closer-
+    neighbour pointers from the first misplaced level either close a
+    ring, which is rotated, or reach a settled population, which takes
+    one unhappy swap.  Happy swaps and rings shorten the total distance.
+    An unhappy swap keeps it, unsettles one population and settles none
     (the level entered is the settled population's home), so runs of
     them are finite and the router always ends.
     """
@@ -366,16 +376,20 @@ def _route_tokens(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
     todo = [lv for lv, g in enumerate(goal) if g != lv]
     while True:
         while todo:
-            a = todo.pop()
-            need = a ^ goal[a]
-            while need:
-                bit = need & -need
-                b = a ^ bit
-                if (b ^ goal[b]) & bit:
-                    swap(a, b)
-                    todo += (a, b)
-                    break
-                need ^= bit
+            used: set[int] = set()
+            for a in todo:
+                if a in used:
+                    continue
+                need = a ^ goal[a]
+                while need:
+                    bit = need & -need
+                    b = a ^ bit
+                    if b not in used and (b ^ goal[b]) & bit:
+                        swap(a, b)
+                        used.update((a, b))
+                        break
+                    need ^= bit
+            todo = sorted(lv for lv in used if goal[lv] != lv)
         start = next((lv for lv, g in enumerate(goal) if g != lv), None)
         if start is None:
             return out
@@ -393,85 +407,122 @@ def _route_tokens(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
                 need &= need - 1
             if goal[v] == v:
                 swap(u, v)
-                todo = [u, v]
+                touched = [u, v]
                 break
             if v in seen:
-                ring = path[seen[v] :]
+                ring = touched = path[seen[v] :]
                 for a, b in reversed(list(zip(ring, ring[1:]))):
                     swap(a, b)
-                todo = ring
                 break
             seen[v] = len(path)
             path.append(v)
+        todo = sorted(lv for lv in touched if goal[lv] != lv)
 
 
-def _hypercube_pulses(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
-    """Route sigma orbit by orbit, or as a whole when the router is shorter.
+def _hypercube_bounds(
+    sigma: tuple[int, ...],
+    orbits: list[tuple[int, ...]],
+    exact: list[list[tuple[int, int]] | None],
+) -> tuple[int, int]:
+    """Lower bounds on the pulses and the rounds of any program for sigma.
 
-    Each orbit is factored exactly, else by one detour, else by the
-    router on that orbit alone; when some orbit is not exact, the router
-    also runs on the whole permutation and the shorter program is kept,
-    the per-orbit one on a tie.
+    Pulses: each pulse moves two populations one step, so a program takes
+    at least half the summed Hamming distance, and at least 2^N - #cycles.
+    Every transposition factorization of sigma has the parity of
+    2^N - #cycles, and one that short only splits cycles, so it exists
+    only when every orbit passes the tree test (``exact`` holds None
+    where one fails); otherwise the parity adds 2.  Rounds: a population
+    moves one step per round, so as many as the largest Hamming distance.
     """
-    orbits = [c for c in cycles(sigma) if len(c) > 1]
-    exact = [_exact_cycle_pulses(cyc, t) for cyc in orbits]
-    if None not in exact:
-        return [pulse for got in exact for pulse in got]
-    whole = _route_tokens(sigma, t)
-    # an orbit that fails the tree test takes at least len + 1 pulses (len - 1
-    # would need a tree, and every count has the parity of len - 1), so once
-    # this floor of the per-orbit program passes the whole-permutation
-    # router, the router's program is kept
-    floor = sum(len(cyc) + (1 if got is None else -1) for cyc, got in zip(orbits, exact))
-    raw: list[tuple[int, int]] = []
-    for cyc, got in zip(orbits, exact):
-        if floor > len(whole):
-            break
-        if got is None:
-            got = _detour_pulses(cyc, t)
-            if got is None:
-                alone = list(range(len(sigma)))
-                for lv in cyc:
-                    alone[lv] = sigma[lv]
-                got = _route_tokens(tuple(alone), t)
-            floor += len(got) - len(cyc) - 1
-        raw.extend(got)
-    return whole if floor > len(whole) else raw
+    split = len(sigma) - len(orbits)
+    pulses = max(split, sum(map(_displacement, orbits)) // 2)
+    pulses += (pulses - split) % 2
+    if pulses == split and None in exact:
+        pulses += 2
+    return pulses, max((lv ^ dst).bit_count() for lv, dst in enumerate(sigma))
 
 
 def _hypercube_candidates(
     sigma: tuple[int, ...], t: Topology
 ) -> Iterator[list[tuple[int, int]]]:
-    """Routings of sigma on the hypercube, each a program for sigma.
+    """The token router's programs for sigma, one per start.
 
-    In order: sigma's own, then sigma^-1's with its pulse list reversed,
-    which realizes sigma because each transposition is its own inverse.
+    The router runs on four permutations that a program for sigma can be
+    read off: sigma itself; sigma^-1, whose pulse list reversed realizes
+    sigma because each transposition is its own inverse; and the
+    conjugates of both by the bit complement x -> x ^ (2^N - 1), a cube
+    automorphism, whose pulses are mapped back through it.
     """
-    inverse = [0] * len(sigma)
+    size = len(sigma)
+    inverse = [0] * size
     for lv, dst in enumerate(sigma):
         inverse[dst] = lv
-    yield _hypercube_pulses(sigma, t)
-    yield _hypercube_pulses(tuple(inverse), t)[::-1]
+    for flip in (0, size - 1):
+        for rho, backward in ((sigma, False), (inverse, True)):
+            start = tuple(rho[lv ^ flip] ^ flip for lv in range(size))
+            pulses = _route_tokens(start, t)
+            if flip:
+                # a < b differ in one bit, so the complement swaps their order
+                pulses = [(b ^ flip, a ^ flip) for a, b in pulses]
+            yield pulses[::-1] if backward else pulses
+
+
+def _hypercube_pulses(
+    sigma: tuple[int, ...],
+    orbits: list[tuple[int, ...]],
+    exact: list[list[tuple[int, int]] | None],
+    whole: list[tuple[int, int]],
+    t: Topology,
+) -> list[tuple[int, int]]:
+    """Sigma's own program: orbit by orbit, or ``whole`` when that is shorter.
+
+    ``exact`` holds each orbit's exact factorization, or None where the
+    orbit fails the tree test; such an orbit takes one detour, else the
+    router on that orbit alone.  ``whole`` is the router's program for
+    sigma, kept when it has fewer pulses than the per-orbit program.
+    """
+    size = len(sigma)
+    # a failing orbit takes at least len + 1 pulses (len - 1 needs a tree, and
+    # every count has the parity of len - 1), so once this floor of the
+    # per-orbit program passes the router's, the router's program is kept
+    floor = size - len(orbits) + 2 * exact.count(None)
+    raw: list[tuple[int, int]] = []
+    for cyc, got in zip(orbits, exact):
+        if floor > len(whole):
+            break
+        if got is None:
+            alone = list(range(size))
+            for lv in cyc:
+                alone[lv] = sigma[lv]
+            got = _detour_pulses(cyc, t) or _route_tokens(tuple(alone), t)
+            floor += len(got) - len(cyc) - 1
+        raw.extend(got)
+    return whole if floor > len(whole) else raw
 
 
 def _hypercube_program(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
-    """The best of ``_hypercube_candidates``, never worse than the first.
+    """Route sigma orbit by orbit, or by the best start of the token router.
 
-    Among candidates with at most the pulses and at most the rounds of
-    the sigma routing, the one with the fewest (pulses, rounds) wins, the
-    earlier on a tie.  The search stops at a candidate that meets both
-    lower bounds: 2^N - #cycles pulses, and as many rounds as the largest
-    Hamming distance sigma moves a level.
+    Each orbit is factored once, and every start shares that work.  When
+    every orbit passes the tree test that program is minimal and kept.
+    Otherwise the starts of ``_hypercube_candidates`` compete: the first
+    gives sigma's own program (``_hypercube_pulses``), and among programs
+    with at most its pulses and at most its rounds, the one with the
+    fewest (pulses, rounds) wins, the earlier on a tie.  The search stops
+    at a program that meets both ``_hypercube_bounds``.
     """
     size = len(sigma)
-    farthest = max((lv ^ dst).bit_count() for lv, dst in enumerate(sigma))
-    bounds = (size - len(cycles(sigma)), farthest)
+    orbits = cycles(sigma)
+    exact = [_exact_cycle_pulses(cyc, t) for cyc in orbits]
+    if None not in exact:
+        return [pulse for got in exact for pulse in got]
+    bounds = _hypercube_bounds(sigma, orbits, exact)
 
     def cost(pulses: list[tuple[int, int]]) -> tuple[int, int]:
         return len(pulses), max(_round_numbers(pulses, size), default=0)
 
     found = _hypercube_candidates(sigma, t)
-    best = next(found)
+    best = _hypercube_pulses(sigma, orbits, exact, next(found), t)
     limit = best_cost = cost(best)
     while best_cost != bounds:
         pulses = next(found, None)
@@ -495,18 +546,17 @@ def synthesize_fixed_labeling(
     permutation.  On the chain the sequence is the odd-even transposition
     sort of the induced level permutation (inversion-count minimal, and
     each phase of level-disjoint swaps can share one round).  On the
-    hypercube each orbit takes the first of: an exact factorization into
-    |S| - 1 pulses, read off the tables of the non-crossing-tree DP when
-    the orbit passes it; |S| + 1 pulses through one outside level; the
-    token-swapping router on that orbit alone.  If that spends more than
-    the sum of |S| - 1, the router also runs on the whole permutation and
-    the shorter program is kept (the per-orbit one on a tie).  That routes
-    sigma; ``_hypercube_program`` also routes sigma^-1 and keeps its
-    reversed program when that is no worse than sigma's in pulses or
-    rounds and better in one.  So the hypercube count is minimal when
-    every orbit passes the tree test and otherwise an upper bound.  Every
-    step is polynomial.  A program longer than ``depth_cap`` pulses raises
-    ``SynthesisError``.
+    hypercube each orbit is factored once: exactly into |S| - 1 pulses,
+    read off the tables of the non-crossing-tree DP when the orbit passes
+    it, which is minimal when every orbit does.  Otherwise the phased
+    token-swapping router runs on four starts (sigma, sigma^-1 and their
+    bit-complement conjugates), each mapped back to a program for sigma.
+    Sigma's own program is the shorter of the router's and the per-orbit
+    one, where a failing orbit takes |S| + 1 pulses through one outside
+    level or else the router on that orbit alone; another start's program
+    replaces it only when no worse in pulses or rounds and better in one.
+    The count is then an upper bound.  Every step is polynomial.  A
+    program longer than ``depth_cap`` pulses raises ``SynthesisError``.
     """
     labeling = scheme.labeling
     sigma = labeling.induced(p)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -41,10 +42,12 @@ from levelpulse.permutation import cycles
 from levelpulse.synthesizer import (
     _detour_pulses,
     _exact_cycle_pulses,
+    _hypercube_bounds,
     _hypercube_candidates,
     _hypercube_program,
     _hypercube_pulses,
     _round_numbers,
+    _route_tokens,
 )
 
 from conftest import one_per_round
@@ -624,39 +627,45 @@ def test_hypercube_cl_random_tables(p):
     assert all(t.is_edge(*pulse.levels) for pulse in seq.pulses)
     assert verify_permutation(sequence_product(scheduled), p, scheme).passed
     orbits = cycles(p.mapping)
+    exact = [_exact_cycle_pulses(orbit, t) for orbit in orbits]
+    bound, farthest = _hypercube_bounds(p.mapping, orbits, exact)
     distance = sum((lv ^ p(lv)).bit_count() for lv in range(p.size))
-    assert len(seq) >= max(p.size - len(orbits), (distance + 1) // 2)
-    if all(_exact_cycle_pulses(orbit, t) is not None for orbit in orbits):
+    assert len(seq) >= bound >= max(p.size - len(orbits), (distance + 1) // 2)
+    if None not in exact:
         assert len(seq) == p.size - len(orbits)
-    # never worse than routing sigma alone, in pulses or in rounds
-    alone = schedule_rounds(one_per_round(p.n_qubits, _hypercube_pulses(p.mapping, t)))
+    # never worse than sigma's own routing, in pulses or in rounds
+    whole = next(_hypercube_candidates(p.mapping, t))
+    own = _hypercube_pulses(p.mapping, orbits, exact, whole, t)
+    alone = schedule_rounds(one_per_round(p.n_qubits, own))
     assert len(seq) <= len(alone)
     assert len(scheduled.rounds) <= len(alone.rounds)
-    assert len(scheduled.rounds) >= max((lv ^ p(lv)).bit_count() for lv in range(p.size))
+    assert len(scheduled.rounds) >= farthest == max((lv ^ p(lv)).bit_count() for lv in range(p.size))
     # every transposition factorization of sigma has this parity
     assert len(seq) % 2 == (p.size - len(orbits)) % 2
 
 
 @pytest.mark.parametrize("n, seed", [(3, 1), (4, 0), (5, 7)])
 def test_each_hypercube_candidate_realizes_sigma(n, seed):
-    # each routing alone, so that a wrong pulse order cannot hide behind
-    # the selection; the programs differ on these tables
+    # each start's program alone, so that a wrong reversal or complement map
+    # cannot hide behind the selection; the programs differ on these tables
     t = build_topology(SPIN_HALF_HYPERCUBE, n)
     p = random_permutation(n, random.Random(seed))
     scheme = fixed_scheme(conventional_labeling(t))
     candidates = list(_hypercube_candidates(p.mapping, t))
-    assert len(set(map(tuple, candidates))) == len(candidates) == 2
+    assert len(set(map(tuple, candidates))) == len(candidates) == 4
     for pulses in candidates:
         assert all(a < b and t.is_edge(a, b) for a, b in pulses)
         assert verify_permutation(sequence_product(one_per_round(n, pulses)), p, scheme).passed
-    assert _hypercube_program(p.mapping, t) in candidates
+    orbits = cycles(p.mapping)
+    exact = [_exact_cycle_pulses(orbit, t) for orbit in orbits]
+    own = _hypercube_pulses(p.mapping, orbits, exact, candidates[0], t)
+    assert _hypercube_program(p.mapping, t) in [own] + candidates[1:]
 
 
-def test_hypercube_cl_n3_excess_over_bfs_optimum():
+@functools.cache
+def _cube3_optimum():
     # one BFS from the identity over the 12-edge cube gives the minimum
-    # pulse count of every N = 3 table; on a seeded sample the routed total
-    # may exceed it by at most the 4.05 % that routing sigma alone spends
-    # over all 40,320 tables
+    # pulse count of every N = 3 table
     t = build_topology(SPIN_HALF_HYPERCUBE, 3)
     optimum = {tuple(range(8)): 0}
     queue = deque(optimum)
@@ -669,11 +678,54 @@ def test_hypercube_cl_n3_excess_over_bfs_optimum():
                 optimum[tuple(child)] = optimum[state] + 1
                 queue.append(tuple(child))
     assert len(optimum) == 40320
+    return optimum
+
+
+def test_hypercube_cl_n3_excess_over_bfs_optimum():
+    # on a seeded sample the routed total may exceed the optimum by at most
+    # 1 %; over all 40,320 tables it exceeds it by 0.27 %
+    t = build_topology(SPIN_HALF_HYPERCUBE, 3)
+    optimum = _cube3_optimum()
     rng = random.Random(2026)
     sample = [random_permutation(3, rng).mapping for _ in range(2000)]
     routed = sum(len(_hypercube_program(sigma, t)) for sigma in sample)
     least = sum(optimum[sigma] for sigma in sample)
-    assert routed <= 1.0405 * least
+    assert routed <= 1.01 * least
+
+
+def test_hypercube_pulse_bound_n3_exhaustive():
+    # the parity-tightened bound never exceeds the optimum and meets it on
+    # all but 500 tables; max(2^N - #cycles, sum of Hamming distances / 2)
+    # alone meets it on 24,328
+    t = build_topology(SPIN_HALF_HYPERCUBE, 3)
+    met = 0
+    for sigma, least in _cube3_optimum().items():
+        orbits = cycles(sigma)
+        exact = [_exact_cycle_pulses(orbit, t) for orbit in orbits]
+        bound, farthest = _hypercube_bounds(sigma, orbits, exact)
+        assert bound <= least, sigma
+        assert farthest == max((lv ^ dst).bit_count() for lv, dst in enumerate(sigma))
+        met += bound == least
+    assert met == 39820
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    p=st.one_of(
+        st.builds(random_permutation, st.integers(1, 8), st.randoms(use_true_random=False)),
+        _fixed_scheme_tables(8),
+    )
+)
+def test_route_tokens_random_tables(p):
+    # the phased router alone: cube edges that realize sigma, with the parity
+    # of every factorization and at least one round per Hamming step
+    t = build_topology(SPIN_HALF_HYPERCUBE, p.n_qubits)
+    pulses = _route_tokens(p.mapping, t)
+    assert all(a < b and t.is_edge(a, b) for a, b in pulses)
+    assert sequence_product(one_per_round(p.n_qubits, pulses))[0] == p.mapping
+    assert len(pulses) % 2 == (p.size - len(cycles(p.mapping))) % 2
+    farthest = max((lv ^ p(lv)).bit_count() for lv in range(p.size))
+    assert max(_round_numbers(pulses, p.size), default=0) >= farthest
 
 
 @pytest.mark.parametrize("labeling", [conventional_labeling, gray_labeling])
