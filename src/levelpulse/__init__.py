@@ -43,7 +43,6 @@ from .synthesizer import (
     Pulse,
     PulseCountReport,
     PulseSequence,
-    SynthesisError,
     parse_pulse_program,
     pulse_count_report,
     schedule_rounds,

@@ -121,23 +121,6 @@ def ols_quadrupolar(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
     return _contiguous_scheme(d, t, _placement_order(d), set())
 
 
-def _ols_layouts(
-    d: MaximalSetDecomposition, limit: int | None = None
-) -> Iterator[tuple[tuple[int, ...], tuple[bool, ...]]]:
-    """The (set order, flips) pair of each scheme in the paper's family.
-
-    ``flips[j]`` runs the j-th multi-element set descending.  Pairs are
-    generated lazily, in enumeration order, up to ``limit``.
-    """
-    multi = sum(len(mset) > 1 for mset in d.sets)
-    layouts = (
-        (order, flips)
-        for order in itertools.permutations(range(len(d.sets)))
-        for flips in itertools.product((False, True), repeat=multi)
-    )
-    return itertools.islice(layouts, limit)
-
-
 def enumerate_ols_quadrupolar(
     d: MaximalSetDecomposition, t: Topology, limit: int | None = None
 ) -> Iterator[LabelingScheme]:
@@ -153,7 +136,12 @@ def enumerate_ols_quadrupolar(
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     multi = [i for i in range(len(d.sets)) if len(d.sets[i]) > 1]
-    for order, flips in _ols_layouts(d, limit):
+    layouts = (
+        (order, flips)
+        for order in itertools.permutations(range(len(d.sets)))
+        for flips in itertools.product((False, True), repeat=len(multi))
+    )
+    for order, flips in itertools.islice(layouts, limit):
         descending = {i for i, flip in zip(multi, flips) if flip}
         yield _contiguous_scheme(d, t, order, descending)
 

@@ -65,7 +65,6 @@ from .topology import (
 __all__ = [
     "Pulse",
     "PulseSequence",
-    "SynthesisError",
     "synthesize_on_path",
     "synthesize_scheme",
     "synthesize_fixed_labeling",
@@ -142,19 +141,6 @@ class PulseSequence:
 
 def _unscheduled(n_qubits: int, pulses: list[Pulse]) -> PulseSequence:
     return PulseSequence(n_qubits, tuple(pulses), (1,) * len(pulses))
-
-
-class SynthesisError(RuntimeError):
-    """A routed fixed-labeling program is longer than its depth cap."""
-
-    def __init__(self, pulses: int, cap: int):
-        self.pulses = pulses
-        self.depth_cap = cap
-        super().__init__(
-            "routing failed: the routed program has {} pulses, over the depth cap {}".format(
-                pulses, cap
-            )
-        )
 
 
 def _pulse(t: Topology, labeling: Labeling, a: int, b: int) -> Pulse:
@@ -535,10 +521,7 @@ def _hypercube_program(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, i
 
 
 def synthesize_fixed_labeling(
-    p: Permutation,
-    scheme: LabelingScheme,
-    t: Topology,
-    depth_cap: int | None = None,
+    p: Permutation, scheme: LabelingScheme, t: Topology
 ) -> PulseSequence:
     """Route a permutation under an arbitrary bijective labeling.
 
@@ -555,8 +538,8 @@ def synthesize_fixed_labeling(
     one, where a failing orbit takes |S| + 1 pulses through one outside
     level or else the router on that orbit alone; another start's program
     replaces it only when no worse in pulses or rounds and better in one.
-    The count is then an upper bound.  Every step is polynomial.  A
-    program longer than ``depth_cap`` pulses raises ``SynthesisError``.
+    The count is then an upper bound.  Every step is polynomial, so
+    routing always succeeds.
     """
     labeling = scheme.labeling
     sigma = labeling.induced(p)
@@ -564,8 +547,6 @@ def synthesize_fixed_labeling(
         raw = _odd_even_pulses(sigma)
     else:
         raw = _hypercube_program(sigma, t)
-    if depth_cap is not None and len(raw) > depth_cap:
-        raise SynthesisError(len(raw), depth_cap)
     return _unscheduled(t.n_qubits, _pulses(t, labeling, raw))
 
 
@@ -655,22 +636,16 @@ def scheme_for(
 
 
 def synthesize_named(
-    name: str,
-    p: Permutation,
-    d: MaximalSetDecomposition,
-    t: Topology,
-    depth_cap: int | None = None,
+    name: str, p: Permutation, d: MaximalSetDecomposition, t: Topology
 ) -> tuple[LabelingScheme, PulseSequence]:
     """Labeling scheme plus pulse sequence for one scheme name."""
     scheme = scheme_for(name, d, t)
     if scheme.style is None:
-        return scheme, synthesize_fixed_labeling(p, scheme, t, depth_cap)
+        return scheme, synthesize_fixed_labeling(p, scheme, t)
     return scheme, synthesize_scheme(d, scheme, t)
 
 
-def pulse_count_report(
-    p: Permutation, t: Topology, depth_cap: int | None = None
-) -> PulseCountReport:
+def pulse_count_report(p: Permutation, t: Topology) -> PulseCountReport:
     """Compare pulse counts across the labeling schemes of a topology.
 
     For benchmark operations with published chain counts, any
@@ -681,7 +656,7 @@ def pulse_count_report(
     counts: dict[str, int] = {}
     rounds: dict[str, int] = {}
     for name in SCHEMES[t.kind]:
-        _, seq = synthesize_named(name, p, d, t, depth_cap)
+        _, seq = synthesize_named(name, p, d, t)
         counts[name] = len(seq)
         rounds[name] = len(schedule_rounds(seq).rounds)
     notes = []

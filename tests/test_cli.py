@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -342,21 +343,29 @@ def test_spectrum_does_not_route(topology, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_CL_DIGESTS[topology]
 
 
-def test_synthesis_failure_exit_code(tmp_path):
-    # antipodal swap on the 4-qubit hypercube cannot be routed within a
-    # depth cap of 3; the compiler must fail loudly
+def test_antipodal_hypercube_cl_round_trip(tmp_path):
+    # antipodal swap on the 4-qubit hypercube: routing needs transit pulses
+    # and always succeeds, and the emitted program verifies
     rows = ["qubits: 4"]
     for i in range(16):
         j = {0: 15, 15: 0}.get(i, i)
         rows.append("{:04b} -> {:04b}".format(i, j))
     doc = tmp_path / "antipodal.tt"
     doc.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
     result = run_cli(
         "compile", "--topology", "hypercube", "--labeling", "cl",
-        "--depth-cap", "3", str(doc),
+        "--output", str(out), str(doc),
     )
-    assert result.returncode == 3
-    assert "routing failed" in result.stderr
+    assert result.returncode == 0
+    assert "pulses: 7" in result.stdout.splitlines()
+    check = run_cli(
+        "verify", "--topology", "hypercube",
+        "--program", str(out / "program.txt"),
+        "--labeling-table", str(out / "labeling.txt"), str(doc),
+    )
+    assert check.returncode == 0
+    assert "verdict: PASS" in check.stdout
 
 
 def test_enumerate_with_limit_and_show():
@@ -374,6 +383,19 @@ ENUMERATE_DIGESTS = {
     ("--limit", "5", "--show", "2"): "00fc031b2509587a36fb81ee05e11595cce8b0c21f842862a07eab116512cb9c",
     ("--limit", "10", "--show", "3"): "f14a297cf12234a86c7ec77df41e026b7796eb902c137e05845c24226356d66f",
 }
+
+
+@pytest.mark.parametrize(
+    "argv", [["identity:10"], ["identity:4", "--limit", str(10**30)]]
+)
+def test_enumerate_counts_the_family_in_closed_form(argv, capsys):
+    # 16! and 1024! layouts: far too many to count one by one
+    assert cli.main(["enumerate", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    formula = [line.split(": ", 1)[1] for line in lines if line.startswith("formula-count: ")]
+    enumerated = [line.split(": ", 1)[1] for line in lines if line.startswith("enumerated: ")]
+    assert len(formula) == len(enumerated) == 1
+    assert enumerated == formula
 
 
 @pytest.mark.parametrize("options", sorted(ENUMERATE_DIGESTS))
@@ -397,7 +419,7 @@ def test_enumerate_builds_only_the_schemes_it_shows(options, monkeypatch, capsys
         ("compile", "identity:x"),
         ("enumerate", "fulladder4", "--limit", "0"),
         ("enumerate", "fulladder4", "--show", "-1"),
-        ("compile", "--depth-cap", "-1", "fulladder4"),
+        ("enumerate", "identity:11"),
         ("compile", "--qubits", "2", "swap:1,1"),
     ],
 )
@@ -408,15 +430,29 @@ def test_hard_edges_exit_2_without_traceback(args):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize(
-    "command", [("verify", "--program", "p", "--labeling-table", "l"), ("spectrum",), ("enumerate",)]
-)
-def test_depth_cap_only_where_programs_are_routed(command):
-    # only compile and compare route a program, so only they take a depth cap
-    result = run_cli(*command, "--depth-cap", "1", "fulladder4")
-    assert result.returncode == 2
-    assert "unrecognized arguments: --depth-cap" in result.stderr
-    assert "Traceback" not in result.stderr
+def test_every_subcommand_refuses_depth_cap():
+    # routing cannot fail, so no subcommand takes a depth cap
+    for command in (
+        ("compile",),
+        ("verify", "--program", "p", "--labeling-table", "l"),
+        ("compare",),
+        ("spectrum",),
+        ("enumerate",),
+    ):
+        result = run_cli(*command, "--depth-cap", "1", "fulladder4")
+        assert result.returncode == 2, command
+        assert "unrecognized arguments: --depth-cap" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_exit_codes_documented_as_defined():
+    # README and the cli docstring list exactly the exit codes cli defines
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    defined = {cli.EXIT_OK, cli.EXIT_FORMAT, cli.EXIT_VERIFY}
+    for doc in (readme, cli.__doc__):
+        sentence = re.search(r"Exit codes:(.*?)\.", doc, re.DOTALL)
+        assert sentence is not None
+        assert {int(code) for code in re.findall(r"\d+", sentence.group(1))} == defined
 
 
 def test_labeling_rejected_for_wrong_topology():
