@@ -11,13 +11,14 @@ that product is minimal: the inversion count of the induced level
 permutation, achieved by odd-even transposition sort.  On the hypercube
 an orbit factors into |S| - 1 pulses exactly when it passes a
 non-crossing-tree test, an interval DP whose tables also give those
-pulses; other orbits take one detour through an outside level or a
-token-swapping router, so the count is then an upper bound.  The router
-swaps in level-disjoint phases, and runs from four starts that share
-one per-orbit factorization: sigma, sigma^-1 reversed, and their
-conjugates by the bit complement mapped back.  The hypercube program is
-the best of these, never worse than sigma's own in pulses or rounds.
-Every step is polynomial.
+pulses, read out four ways and kept in the fewest rounds; other orbits
+take one detour through an outside level or a token-swapping router, so
+the count is then an upper bound.  The router swaps in level-disjoint
+phases, and runs from eight starts that share one per-orbit
+factorization: sigma and sigma^-1 reversed, each conjugated by four cube
+automorphisms (identity, bit complement, bit reversal, both) and mapped
+back.  The hypercube program is the best of these, never worse than
+sigma's own in pulses or rounds.  Every step is polynomial.
 
 Pulses are always pi rotations about y on a single transition.  A pulse
 sequence also carries its partition into simultaneous rounds: pulses in
@@ -243,31 +244,28 @@ def _displacement(cycle: tuple[int, ...]) -> int:
     return sum((a ^ b).bit_count() for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
-def _exact_cycle_pulses(
-    cycle: tuple[int, ...], t: Topology
-) -> list[tuple[int, int]] | None:
-    """Factor one hypercube cycle into exactly len - 1 edge transpositions.
+def _tree_tables(cycle: tuple[int, ...], t: Topology) -> tuple[list[int], ...] | None:
+    """The tree DP's tables for one hypercube cycle, or None when it has no tree.
 
-    Such a factorization exists exactly when the cycle's levels, on a
-    circle in cycle order, carry a non-crossing spanning tree of topology
-    edges, and the tree's edges are then its pulses (the tree property of
-    minimal cycle factorizations; Goulden and Yong, JCTA 2002).  Interval
-    DP over positions l..r in O(k^2 N): N[l][r] when l..r carry such a
-    tree, T[l][m] when l..m carry one containing the chord (l, m), with
-    T[l][m] = edge(l, m) and N[l][x] and N[x+1][m] for some x, and
-    N[l][r] = T[l][m] and N[m][r] for some neighbour m <= r of l.  The
-    same tables give the pulses: with the highest such m and x, N[l][r]
-    emits N[m][r], N[l][x], the pulse (c_l, c_m), then N[x+1][m].
-    Returns None when the cycle needs more pulses on this topology.
+    A cycle factors into exactly len - 1 edge transpositions exactly when
+    its levels, on a circle in cycle order, carry a non-crossing spanning
+    tree of topology edges, and the tree's edges are then its pulses (the
+    tree property of minimal cycle factorizations; Goulden and Yong, JCTA
+    2002).  Interval DP over positions l..r in O(k^2 N): N[l][r] when
+    l..r carry such a tree, T[l][m] when l..m carry one containing the
+    chord (l, m), with T[l][m] = edge(l, m) and N[l][x] and N[x+1][m]
+    for some x, and N[l][r] = T[l][m] and N[m][r] for some neighbour
+    m <= r of l.  Returns the bit sets (row, col, chords): row[l] has bit
+    r and col[r] has bit l when N[l][r], chords[l] has bit m when T[l][m].
     """
     k = len(cycle)
     # each pulse moves two populations one step, so k - 1 pulses move 2k - 2
     if _displacement(cycle) > 2 * k - 2:
         return None
     pos = {lv: i for i, lv in enumerate(cycle)}
-    row = [0] * k  # row[l] has bit r when N[l][r]
-    col = [1 << r for r in range(k)]  # col[r] has bit l when N[l][r]
-    chords = [0] * k  # chords[l] has bit m when T[l][m]
+    row = [0] * k
+    col = [1 << r for r in range(k)]
+    chords = [0] * k
     for l in range(k - 1, -1, -1):
         near = 0  # bit m for each neighbour on a later position m
         for v in t.neighbors[cycle[l]]:
@@ -285,18 +283,65 @@ def _exact_cycle_pulses(
         row[l], chords[l] = n_l, t_l
     if not row[0] >> (k - 1) & 1:
         return None
+    return row, col, chords
+
+
+def _read_tree(
+    tables: tuple[list[int], ...], high_m: bool, high_x: bool
+) -> list[tuple[int, int]]:
+    """One tree of the DP tables as position pairs (l, m), l < m, in pulse order.
+
+    N[l][r] emits N[m][r], N[l][x], the pulse (l, m), then N[x+1][m],
+    for the highest or lowest valid m (a set bit of chords[l] & col[r])
+    and the highest or lowest valid x (a set bit of row[l] & col[m] >> 1).
+    """
+    row, col, chords = tables
     out: list[tuple[int, int]] = []
     # a stack of N intervals and chords to pulse, not recursion: k reaches 2^N
-    todo = [(0, k - 1, False)]
+    todo = [(0, len(row) - 1, False)]
     while todo:
         l, r, chord = todo.pop()
         if chord:
-            out.append((min(cycle[l], cycle[r]), max(cycle[l], cycle[r])))
+            out.append((l, r))
         elif l < r:
-            m = (chords[l] & col[r]).bit_length() - 1
-            x = (row[l] & col[m] >> 1).bit_length() - 1
+            # bits & -bits keeps the lowest set bit
+            bits = chords[l] & col[r]
+            m = (bits if high_m else bits & -bits).bit_length() - 1
+            bits = row[l] & col[m] >> 1
+            x = (bits if high_x else bits & -bits).bit_length() - 1
             todo += [(x + 1, m, False), (l, m, True), (l, x, False), (m, r, False)]
     return out
+
+
+def _exact_cycle_pulses(
+    cycle: tuple[int, ...], t: Topology
+) -> list[tuple[int, int]] | None:
+    """Factor one hypercube cycle into exactly len - 1 edge transpositions.
+
+    The pulses are the edges of a non-crossing tree from ``_tree_tables``,
+    read out four ways: highest or lowest m, times highest or lowest x,
+    the uniform pairs first.  The read-out with the fewest
+    ``_round_numbers`` rounds wins, the earlier on a tie, so the
+    (highest, highest) tree stays unless another is shallower.  The search
+    stops at a read-out whose rounds equal the cycle's largest Hamming
+    step, which no program beats.  Returns None when the cycle needs more
+    pulses on this topology.
+    """
+    tables = _tree_tables(cycle, t)
+    if tables is None:
+        return None
+    k = len(cycle)
+    farthest = max((a ^ b).bit_count() for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    best: list[tuple[int, int]] = []
+    least = k  # a tree has k - 1 pulses, so at most k - 1 rounds
+    for high_m, high_x in ((True, True), (False, False), (True, False), (False, True)):
+        tree = _read_tree(tables, high_m, high_x)
+        rounds = max(_round_numbers(tree, k), default=0)
+        if rounds < least:
+            best, least = tree, rounds
+        if least == farthest:
+            break
+    return [(min(cycle[l], cycle[m]), max(cycle[l], cycle[m])) for l, m in best]
 
 
 def _detour_pulses(
@@ -330,7 +375,7 @@ def _detour_pulses(
     return None
 
 
-def _route_tokens(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
+def _route_tokens(sigma: Sequence[int], t: Topology) -> list[tuple[int, int]]:
     """Edge transpositions carrying every population home on the hypercube.
 
     Token swapping after Miltzow et al. (ESA 2016), in level-disjoint
@@ -371,11 +416,14 @@ def _route_tokens(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
                     bit = need & -need
                     b = a ^ bit
                     if b not in used and (b ^ goal[b]) & bit:
-                        swap(a, b)
-                        used.update((a, b))
+                        # swap(a, b), inline: this loop carries the router
+                        goal[a], goal[b] = goal[b], goal[a]
+                        out.append((a, b) if a < b else (b, a))
+                        used.add(a)
+                        used.add(b)
                         break
                     need ^= bit
-            todo = sorted(lv for lv in used if goal[lv] != lv)
+            todo = sorted([lv for lv in used if goal[lv] != lv])
         start = next((lv for lv, g in enumerate(goal) if g != lv), None)
         if start is None:
             return out
@@ -433,23 +481,35 @@ def _hypercube_candidates(
 ) -> Iterator[list[tuple[int, int]]]:
     """The token router's programs for sigma, one per start.
 
-    The router runs on four permutations that a program for sigma can be
-    read off: sigma itself; sigma^-1, whose pulse list reversed realizes
-    sigma because each transposition is its own inverse; and the
-    conjugates of both by the bit complement x -> x ^ (2^N - 1), a cube
-    automorphism, whose pulses are mapped back through it.
+    The router runs on eight permutations that a program for sigma can be
+    read off: g sigma g and g sigma^-1 g for four cube automorphisms g,
+    the identity, the bit complement x -> x ^ (2^N - 1), the bit reversal
+    and the reversal then the complement.  Each g is an involution, so a
+    program for g rho g maps back through g, pulse by pulse, to one for
+    rho; and a program for sigma^-1 reversed realizes sigma because each
+    transposition is its own inverse.  For N = 1 the reversal is the
+    identity and only the first four starts run.
     """
     size = len(sigma)
     inverse = [0] * size
     for lv, dst in enumerate(sigma):
         inverse[dst] = lv
-    for flip in (0, size - 1):
+    flip = size - 1
+
+    def symmetries() -> Iterator[Sequence[int]]:
+        # each built only when the search reaches it; it stops at the bounds
+        yield range(size)
+        yield [lv ^ flip for lv in range(size)]
+        if t.n_qubits > 1:
+            rev = [int(bit_string(lv, t.n_qubits)[::-1], 2) for lv in range(size)]
+            yield rev
+            yield [lv ^ flip for lv in rev]
+
+    for g in symmetries():
         for rho, backward in ((sigma, False), (inverse, True)):
-            start = tuple(rho[lv ^ flip] ^ flip for lv in range(size))
-            pulses = _route_tokens(start, t)
-            if flip:
-                # a < b differ in one bit, so the complement swaps their order
-                pulses = [(b ^ flip, a ^ flip) for a, b in pulses]
+            pulses = _route_tokens([g[rho[g[lv]]] for lv in range(size)], t)
+            # g keeps cube edges but may swap the order of their ends
+            pulses = [(g[a], g[b]) if g[a] < g[b] else (g[b], g[a]) for a, b in pulses]
             yield pulses[::-1] if backward else pulses
 
 
@@ -480,7 +540,7 @@ def _hypercube_pulses(
             alone = list(range(size))
             for lv in cyc:
                 alone[lv] = sigma[lv]
-            got = _detour_pulses(cyc, t) or _route_tokens(tuple(alone), t)
+            got = _detour_pulses(cyc, t) or _route_tokens(alone, t)
             floor += len(got) - len(cyc) - 1
         raw.extend(got)
     return whole if floor > len(whole) else raw
@@ -490,12 +550,14 @@ def _hypercube_program(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, i
     """Route sigma orbit by orbit, or by the best start of the token router.
 
     Each orbit is factored once, and every start shares that work.  When
-    every orbit passes the tree test that program is minimal and kept.
-    Otherwise the starts of ``_hypercube_candidates`` compete: the first
-    gives sigma's own program (``_hypercube_pulses``), and among programs
-    with at most its pulses and at most its rounds, the one with the
-    fewest (pulses, rounds) wins, the earlier on a tie.  The search stops
-    at a program that meets both ``_hypercube_bounds``.
+    every orbit passes the tree test that program is minimal in pulses
+    and kept; its orbits touch disjoint levels, so it takes as many rounds
+    as its deepest orbit, whose tree is the shallowest of four read-outs.
+    Otherwise the eight starts of ``_hypercube_candidates`` compete: the
+    first gives sigma's own program (``_hypercube_pulses``), and among
+    programs with at most its pulses and at most its rounds, the one with
+    the fewest (pulses, rounds) wins, the earlier on a tie.  The search
+    stops at a program that meets both ``_hypercube_bounds``.
     """
     size = len(sigma)
     orbits = cycles(sigma)
@@ -530,10 +592,12 @@ def synthesize_fixed_labeling(
     sort of the induced level permutation (inversion-count minimal, and
     each phase of level-disjoint swaps can share one round).  On the
     hypercube each orbit is factored once: exactly into |S| - 1 pulses,
-    read off the tables of the non-crossing-tree DP when the orbit passes
-    it, which is minimal when every orbit does.  Otherwise the phased
-    token-swapping router runs on four starts (sigma, sigma^-1 and their
-    bit-complement conjugates), each mapped back to a program for sigma.
+    the shallowest of four trees read off the tables of the
+    non-crossing-tree DP when the orbit passes it, which is minimal when
+    every orbit does.  Otherwise the phased token-swapping router runs on
+    eight starts (sigma and sigma^-1, each conjugated by the identity, the
+    bit complement, the bit reversal and both), each mapped back to a
+    program for sigma.
     Sigma's own program is the shorter of the router's and the per-orbit
     one, where a failing orbit takes |S| + 1 pulses through one outside
     level or else the router on that orbit alone; another start's program
@@ -561,7 +625,10 @@ def _round_numbers(pulses: Sequence[Sequence[int]], level_count: int) -> list[in
     numbers: list[int] = []
     for pulse in pulses:
         a, b = pulse[0], pulse[1]
-        r = last_round[a] = last_round[b] = max(last_round[a], last_round[b]) + 1
+        ra, rb = last_round[a], last_round[b]
+        # a conditional, not max(): this loop runs once per pulse of every
+        # scheduled program and every ranked candidate
+        r = last_round[a] = last_round[b] = (ra if ra > rb else rb) + 1
         numbers.append(r)
     return numbers
 

@@ -45,8 +45,10 @@ from levelpulse.synthesizer import (
     _hypercube_candidates,
     _hypercube_program,
     _hypercube_pulses,
+    _read_tree,
     _round_numbers,
     _route_tokens,
+    _tree_tables,
 )
 
 from conftest import one_per_round
@@ -534,24 +536,49 @@ def assert_matches_backtracking(cyc, t):
     return got is not None
 
 
-def test_exact_cycles_match_backtracking_reference():
+def _cube_cycles():
+    # every cycle on the N = 3 cube with 2..6 levels, then 1,500 seeded,
+    # mostly-adjacent N = 4 walks, so that many of them factor exactly
     cube3 = build_topology(SPIN_HALF_HYPERCUBE, 3)
-    exact = 0
     for k in range(2, 7):
         for subset in itertools.combinations(range(8), k):
             for rest in itertools.permutations(subset[1:]):
-                exact += assert_matches_backtracking((subset[0],) + rest, cube3)
-    assert exact > 1000  # both outcomes are exercised
+                yield (subset[0],) + rest, cube3
     cube4 = build_topology(SPIN_HALF_HYPERCUBE, 4)
     rng = random.Random(4)
     for _ in range(1500):
-        # mostly-adjacent walks, so that many of these cycles factor exactly
         cyc = [rng.randrange(16)]
         for _ in range(rng.randint(1, 7)):
             nxt = cyc[-1] ^ (1 << rng.randrange(4)) if rng.random() < 0.8 else rng.randrange(16)
             if nxt not in cyc:
                 cyc.append(nxt)
-        assert_matches_backtracking(tuple(cyc), cube4)
+        yield tuple(cyc), cube4
+
+
+def test_exact_cycles_match_backtracking_reference():
+    exact = sum(assert_matches_backtracking(cyc, t) for cyc, t in _cube_cycles())
+    assert exact > 1000  # both outcomes are exercised
+
+
+def test_exact_cycle_tree_is_shallowest_read_out():
+    # the kept tree factors the cycle in len - 1 pulses and has the fewest
+    # rounds of the four read-outs of the DP tables
+    shallower = 0
+    for cyc, t in _cube_cycles():
+        tables = _tree_tables(cyc, t)
+        got = _exact_cycle_pulses(cyc, t)
+        assert (got is None) == (tables is None), cyc
+        if got is None:
+            continue
+        assert_factors_cycle(got, cyc, t)
+        depths = [
+            max(_round_numbers(_read_tree(tables, high_m, high_x), len(cyc)), default=0)
+            for high_m in (True, False)
+            for high_x in (True, False)
+        ]
+        assert max(_round_numbers(got, t.level_count), default=0) == min(depths), cyc
+        shallower += min(depths) < depths[0]
+    assert shallower > 100  # the (highest, highest) tree is often not the shallowest
 
 
 def test_exact_gray_order_cycle_n10():
@@ -616,6 +643,11 @@ def _fixed_scheme_tables(max_n):
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(p=_fixed_scheme_tables(8))
+# a few tables at N = 9 and 10, beyond the drawn sizes: two shuffles and a
+# product of edge transpositions, whose cycles mostly factor exactly
+@example(p=random_permutation(9, random.Random(9)))
+@example(p=random_permutation(10, random.Random(10)))
+@example(p=_edge_product(10, [(lv * 37, lv % 10) for lv in range(600)]))
 def test_hypercube_cl_random_tables(p):
     t = build_topology(SPIN_HALF_HYPERCUBE, p.n_qubits)
     scheme = fixed_scheme(conventional_labeling(t))
@@ -643,13 +675,14 @@ def test_hypercube_cl_random_tables(p):
 
 @pytest.mark.parametrize("n, seed", [(3, 1), (4, 0), (5, 7)])
 def test_each_hypercube_candidate_realizes_sigma(n, seed):
-    # each start's program alone, so that a wrong reversal or complement map
-    # cannot hide behind the selection; the programs differ on these tables
+    # each start's program alone, so that a wrong reversal, complement or
+    # bit-reversal map cannot hide behind the selection; the eight programs
+    # differ on these tables
     t = build_topology(SPIN_HALF_HYPERCUBE, n)
     p = random_permutation(n, random.Random(seed))
     scheme = fixed_scheme(conventional_labeling(t))
     candidates = list(_hypercube_candidates(p.mapping, t))
-    assert len(set(map(tuple, candidates))) == len(candidates) == 4
+    assert len(set(map(tuple, candidates))) == len(candidates) == 8
     for pulses in candidates:
         assert all(a < b and t.is_edge(a, b) for a, b in pulses)
         assert verify_permutation(sequence_product(one_per_round(n, pulses)), p, scheme).passed
@@ -657,6 +690,38 @@ def test_each_hypercube_candidate_realizes_sigma(n, seed):
     exact = [_exact_cycle_pulses(orbit, t) for orbit in orbits]
     own = _hypercube_pulses(p.mapping, orbits, exact, candidates[0], t)
     assert _hypercube_program(p.mapping, t) in [own] + candidates[1:]
+
+
+def test_one_qubit_skips_bit_reversal_starts():
+    # on one qubit the bit reversal is the identity, so only four starts run
+    t = build_topology(SPIN_HALF_HYPERCUBE, 1)
+    assert list(_hypercube_candidates((1, 0), t)) == [[(0, 1)]] * 4
+
+
+def test_all_exact_tables_keep_shallowest_trees():
+    # an all-exact table takes each orbit's shallowest read-out, so it never
+    # gets more rounds than the (highest, highest) trees give, and it gets
+    # fewer on some of these tables
+    t = build_topology(SPIN_HALF_HYPERCUBE, 3)
+    rng = random.Random(102)
+    fewer = 0
+    for _ in range(400):
+        sigma = random_permutation(3, rng).mapping
+        orbits = cycles(sigma)
+        tables = [_tree_tables(orbit, t) for orbit in orbits]
+        if None in tables:
+            continue
+        first = [
+            (orbit[l], orbit[m]) for orbit, got in zip(orbits, tables)
+            for l, m in _read_tree(got, True, True)
+        ]
+        routed = _hypercube_program(sigma, t)
+        assert len(routed) == len(first) == 8 - len(orbits)
+        depth = max(_round_numbers(routed, 8), default=0)
+        base = max(_round_numbers(first, 8), default=0)
+        assert depth <= base, sigma
+        fewer += depth < base
+    assert fewer > 0
 
 
 @functools.cache
@@ -680,14 +745,18 @@ def _cube3_optimum():
 
 def test_hypercube_cl_n3_excess_over_bfs_optimum():
     # on a seeded sample the routed total may exceed the optimum by at most
-    # 1 %; over all 40,320 tables it exceeds it by 0.27 %
+    # 1 %; over all 40,320 tables it exceeds it by 0.20 % and meets it on
+    # 40,052 tables, in 135,990 rounds
     t = build_topology(SPIN_HALF_HYPERCUBE, 3)
     optimum = _cube3_optimum()
     rng = random.Random(2026)
     sample = [random_permutation(3, rng).mapping for _ in range(2000)]
-    routed = sum(len(_hypercube_program(sigma, t)) for sigma in sample)
+    programs = [_hypercube_program(sigma, t) for sigma in sample]
+    routed = sum(map(len, programs))
     least = sum(optimum[sigma] for sigma in sample)
     assert routed <= 1.01 * least
+    # four routing starts and the first tree read-out took 7,225 rounds
+    assert sum(max(_round_numbers(pulses, 8), default=0) for pulses in programs) == 6784
 
 
 def test_hypercube_pulse_bound_n3_exhaustive():
