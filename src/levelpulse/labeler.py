@@ -46,8 +46,10 @@ class LabelingScheme:
 
     A placement scheme lays every maximal set on a transition path, so
     the labeling is the placement: the levels of a set are
-    ``labeling.level_of(s)`` over its chain.  ``PATH`` chains run along
-    the path in chain order.  ``COXETER`` chains sit on a path
+    ``labeling.level_of(s)`` over its chain.  ``PATH`` chains lie on the
+    path in chain order; on the quadrupolar chain they are pulsed along
+    it, and on the hypercube as the shallowest tree of transitions among
+    their levels (``synthesize_scheme``).  ``COXETER`` chains sit on a path
     v_0 ... v_(L-1) with element j on v_(2j) while 2j < L and on
     v_(2(L-1-j)+1) after that, so the path's even-position edges are the
     pairs (s_i, s_(L-1-i)) and its odd-position edges the pairs

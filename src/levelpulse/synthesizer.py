@@ -2,23 +2,27 @@
 
 Placement schemes (optimal chain labeling, hypercube relabelings)
 synthesize per maximal set: a chain s_0 ... s_(L-1) on a transition
-path needs L - 1 pulses, applied in reverse chain order, or for a chain
-in bipartite Coxeter order as two reflections, the pairs
-(s_i, s_(L-1-i)) and then the pairs (s_i, s_(L-i)), which pack into two
-rounds.  Fixed labelings (conventional, gray) instead route each state
-to its destination with a product of edge transpositions.  On the chain
-that product is minimal: the inversion count of the induced level
-permutation, achieved by odd-even transposition sort.  On the hypercube
-an orbit factors into |S| - 1 pulses exactly when it passes a
-non-crossing-tree test, an interval DP whose tables also give those
-pulses, read out four ways and kept in the fewest rounds; other orbits
-take one detour through an outside level or a token-swapping router, so
-the count is then an upper bound.  The router swaps in level-disjoint
-phases, and runs from eight starts that share one per-orbit
-factorization: sigma and sigma^-1 reversed, each conjugated by four cube
-automorphisms (identity, bit complement, bit reversal, both) and mapped
-back.  The hypercube program is the best of these, never worse than
-sigma's own in pulses or rounds.  Every step is polynomial.
+path needs L - 1 pulses.  On the quadrupolar chain they run along the
+path in reverse chain order.  On the hypercube the path is one
+non-crossing tree of the set's cycle, and the cube may hold shallower
+ones among the same levels, so the set is pulsed as the shallowest
+read-out of the tree DP below.  A chain in bipartite Coxeter order is
+pulsed as two reflections, the pairs (s_i, s_(L-1-i)) and then the
+pairs (s_i, s_(L-i)), which pack into two rounds.  Fixed labelings
+(conventional, gray) instead route each state to its destination with a
+product of edge transpositions.  On the chain that product is minimal:
+the inversion count of the induced level permutation, achieved by
+odd-even transposition sort.  On the hypercube an orbit factors into
+|S| - 1 pulses exactly when it passes a non-crossing-tree test, an
+interval DP whose tables also give those pulses, read out four ways and
+kept in the fewest rounds; other orbits take one detour through an
+outside level or a token-swapping router, so the count is then an upper
+bound.  The router swaps in level-disjoint phases, and runs from eight
+starts that share one per-orbit factorization: sigma and sigma^-1
+reversed, each conjugated by four cube automorphisms (identity, bit
+complement, bit reversal, both) and mapped back.  The hypercube program
+is the best of these, never worse than sigma's own in pulses or rounds.
+Every step is polynomial.
 
 Pulses are always pi rotations about y on a single transition.  A pulse
 sequence also carries its partition into simultaneous rounds: pulses in
@@ -34,6 +38,7 @@ pulse, and each round number, once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import xor
 from typing import Iterator, NamedTuple, Sequence
 
 from .labeler import (
@@ -186,13 +191,18 @@ def synthesize_scheme(
 ) -> PulseSequence:
     """Pulse sequence for a placement scheme.
 
-    Each chain s_0 ... s_(L-1) lies on the levels its labels carry.  A
-    ``PATH`` chain goes through ``synthesize_on_path``.  A ``COXETER``
-    chain is pulsed as two reflections of its order: the pairs
-    (s_i, s_(L-1-i)) for i < L // 2, then (s_i, s_(L-i)) for
-    1 <= i < (L + 1) // 2, each reflection one round of disjoint pulses.
-    Sets are synthesized independently and merged in canonical set
-    order; the sequence length is exactly the sum of (|S_i| - 1).
+    Each chain s_0 ... s_(L-1) lies on the levels its labels carry.  On
+    the quadrupolar chain a ``PATH`` chain goes through
+    ``synthesize_on_path``.  On the hypercube a ``PATH`` chain of four or
+    more states is pulsed as the shallowest tree ``_exact_cycle_pulses``
+    reads off its levels: its path is one such tree, so the DP always
+    succeeds, and the set takes at most the path's L - 1 rounds.  A
+    shorter chain's only tree is its path, since the cube has no
+    triangles.  A ``COXETER`` chain is pulsed as two reflections of its
+    order: the pairs (s_i, s_(L-1-i)) for i < L // 2, then (s_i, s_(L-i))
+    for 1 <= i < (L + 1) // 2, each reflection one round of disjoint
+    pulses.  Sets are synthesized independently and merged in canonical
+    set order; the sequence length is exactly the sum of (|S_i| - 1).
     """
     if scheme.style is None:
         raise ValueError("scheme has no placement style; use synthesize_fixed_labeling")
@@ -206,8 +216,16 @@ def synthesize_scheme(
             pairs = [(i, size - 1 - i) for i in range(size // 2)]
             pairs += [(i, size - i) for i in range(1, (size + 1) // 2)]
             pulses.extend(_pulses(t, labeling, [(levels[i], levels[j]) for i, j in pairs]))
-        else:
+        elif t.kind == QUADRUPOLAR_CHAIN or len(levels) <= 3:
+            # on the cube, which has no triangles, a path of at most three
+            # levels is its chain's only tree, and the DP would read it out
+            # pulse for pulse as this
             pulses.extend(synthesize_on_path(mset, levels, t, labeling))
+        else:
+            tree = _exact_cycle_pulses(levels, t)
+            if tree is None:
+                raise ValueError("chain levels {} carry no tree of transitions".format(levels))
+            pulses.extend(_pulses(t, labeling, tree))
     return _unscheduled(t.n_qubits, pulses)
 
 
@@ -251,12 +269,46 @@ def _tree_tables(cycle: tuple[int, ...], t: Topology) -> tuple[list[int], ...] |
     its levels, on a circle in cycle order, carry a non-crossing spanning
     tree of topology edges, and the tree's edges are then its pulses (the
     tree property of minimal cycle factorizations; Goulden and Yong, JCTA
-    2002).  Interval DP over positions l..r in O(k^2 N): N[l][r] when
-    l..r carry such a tree, T[l][m] when l..m carry one containing the
-    chord (l, m), with T[l][m] = edge(l, m) and N[l][x] and N[x+1][m]
-    for some x, and N[l][r] = T[l][m] and N[m][r] for some neighbour
-    m <= r of l.  Returns the bit sets (row, col, chords): row[l] has bit
-    r and col[r] has bit l when N[l][r], chords[l] has bit m when T[l][m].
+    2002).  Returns the bit sets (row, col, chords) of ``_interval_tables``.
+    When every step c_i -> c_(i+1) is a cube edge, as on a placement
+    chain, every interval l..r carries its own path, so every cube edge
+    (l, m) is a valid chord and the tables have a closed form, built in
+    O(kN) instead of the DP's O(k^2): row[l] holds bits l..k-1, col[r]
+    bits 0..r, and chords[l] the later positions one cube edge away.
+    """
+    if not _walks_edges(cycle):
+        return _interval_tables(cycle, t)
+    k = len(cycle)
+    pos = [-1] * t.level_count  # a list, not a dict: this loop carries the tables
+    for i, lv in enumerate(cycle):
+        pos[lv] = i
+    chords = []
+    for l, lv in enumerate(cycle):
+        near = 0
+        for v in t.neighbors[lv]:
+            m = pos[v]
+            if m > l:
+                near |= 1 << m
+        chords.append(near)
+    top = (1 << k) - 1
+    return [top >> l << l for l in range(k)], [(2 << r) - 1 for r in range(k)], chords
+
+
+def _walks_edges(cycle: tuple[int, ...]) -> bool:
+    """Whether every step c_i -> c_(i+1), i + 1 < len, is a cube edge."""
+    return {*map(int.bit_count, map(xor, cycle, cycle[1:]))} <= {1}
+
+
+def _interval_tables(cycle: tuple[int, ...], t: Topology) -> tuple[list[int], ...] | None:
+    """The non-crossing-tree interval DP of ``_tree_tables``, run in full.
+
+    Interval DP over positions l..r in O(k^2 N): N[l][r] when l..r carry
+    such a tree, T[l][m] when l..m carry one containing the chord (l, m),
+    with T[l][m] = edge(l, m) and N[l][x] and N[x+1][m] for some x, and
+    N[l][r] = T[l][m] and N[m][r] for some neighbour m <= r of l.  Returns
+    the bit sets (row, col, chords): row[l] has bit r and col[r] has bit l
+    when N[l][r], chords[l] has bit m when T[l][m]; or None when the
+    cycle has no such tree.
     """
     k = len(cycle)
     # each pulse moves two populations one step, so k - 1 pulses move 2k - 2
@@ -287,30 +339,50 @@ def _tree_tables(cycle: tuple[int, ...], t: Topology) -> tuple[list[int], ...] |
 
 
 def _read_tree(
-    tables: tuple[list[int], ...], high_m: bool, high_x: bool
-) -> list[tuple[int, int]]:
-    """One tree of the DP tables as position pairs (l, m), l < m, in pulse order.
+    tables: tuple[list[int], ...], high_m: bool, high_x: bool, cap: int | None = None
+) -> tuple[list[tuple[int, int]], int] | None:
+    """One tree of the DP tables as position pairs (l, m), l < m, and its rounds.
 
     N[l][r] emits N[m][r], N[l][x], the pulse (l, m), then N[x+1][m],
     for the highest or lowest valid m (a set bit of chords[l] & col[r])
     and the highest or lowest valid x (a set bit of row[l] & col[m] >> 1).
+    Pulses come in pulse order, each numbered with the round
+    ``_round_numbers`` gives it; the tree's rounds are the highest number.
+    Returns None, abandoning the read-out, once a pulse's round reaches
+    ``cap``.
     """
     row, col, chords = tables
+    k = len(row)
+    if cap is None:
+        cap = k  # a tree has k - 1 pulses, so at most k - 1 rounds
     out: list[tuple[int, int]] = []
-    # a stack of N intervals and chords to pulse, not recursion: k reaches 2^N
-    todo = [(0, len(row) - 1, False)]
+    last = [0] * k  # the round of the latest pulse on each position
+    # a stack of non-empty N intervals (l, r) and of chords (~l, m) to
+    # pulse, not recursion: k reaches 2^N
+    todo = [(0, k - 1)] if k > 1 else []
     while todo:
-        l, r, chord = todo.pop()
-        if chord:
+        l, r = todo.pop()
+        if l < 0:
+            l = ~l
+            rl, rr = last[l], last[r]
+            rnd = last[l] = last[r] = (rl if rl > rr else rr) + 1
+            if rnd >= cap:
+                return None
             out.append((l, r))
-        elif l < r:
+            continue
+        while l < r:
             # bits & -bits keeps the lowest set bit
             bits = chords[l] & col[r]
             m = (bits if high_m else bits & -bits).bit_length() - 1
             bits = row[l] & col[m] >> 1
             x = (bits if high_x else bits & -bits).bit_length() - 1
-            todo += [(x + 1, m, False), (l, m, True), (l, x, False), (m, r, False)]
-    return out
+            if x + 1 < m:
+                todo.append((x + 1, m))
+            todo.append((~l, m))
+            if l < x:
+                todo.append((l, x))
+            l = m  # N[m][r] comes first, so it is expanded at once
+    return out, max(last)
 
 
 def _exact_cycle_pulses(
@@ -320,28 +392,38 @@ def _exact_cycle_pulses(
 
     The pulses are the edges of a non-crossing tree from ``_tree_tables``,
     read out four ways: highest or lowest m, times highest or lowest x,
-    the uniform pairs first.  The read-out with the fewest
-    ``_round_numbers`` rounds wins, the earlier on a tie, so the
-    (highest, highest) tree stays unless another is shallower.  The search
-    stops at a read-out whose rounds equal the cycle's largest Hamming
-    step, which no program beats.  Returns None when the cycle needs more
-    pulses on this topology.
+    the uniform pairs first.  The read-out with the fewest rounds wins,
+    the earlier on a tie, so the (highest, highest) tree stays unless
+    another is shallower: each later read-out is capped at the best
+    rounds so far and abandoned when it reaches them.  The search stops
+    at a read-out whose rounds equal the cycle's largest Hamming step,
+    which no program beats.  When every step of the cycle is a cube edge,
+    as on a placement chain, both low-m read-outs are the path itself in
+    len - 1 rounds, which never wins, so only the high-m ones run.
+    Returns None when the cycle needs more pulses on this topology.
     """
     tables = _tree_tables(cycle, t)
     if tables is None:
         return None
-    k = len(cycle)
-    farthest = max((a ^ b).bit_count() for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    farthest = max(map(int.bit_count, map(xor, cycle, cycle[1:] + cycle[:1])))
+    orders = ((True, True), (False, False), (True, False), (False, True))
+    if _walks_edges(cycle):
+        # the lowest m of N[l][r] is then l + 1, and x = l
+        orders = orders[0::2]
     best: list[tuple[int, int]] = []
-    least = k  # a tree has k - 1 pulses, so at most k - 1 rounds
-    for high_m, high_x in ((True, True), (False, False), (True, False), (False, True)):
-        tree = _read_tree(tables, high_m, high_x)
-        rounds = max(_round_numbers(tree, k), default=0)
-        if rounds < least:
-            best, least = tree, rounds
+    least = len(cycle)
+    for high_m, high_x in orders:
+        got = _read_tree(tables, high_m, high_x, least)
+        if got is not None:
+            best, least = got
         if least == farthest:
             break
-    return [(min(cycle[l], cycle[m]), max(cycle[l], cycle[m])) for l, m in best]
+    pulses = []
+    for l, m in best:
+        # a conditional, not min() and max(): this runs once per tree pulse
+        a, b = cycle[l], cycle[m]
+        pulses.append((a, b) if a < b else (b, a))
+    return pulses
 
 
 def _detour_pulses(

@@ -280,30 +280,40 @@ def test_hypercube_placement_random_tables(relabel, n, seed):
     d = maximal_sets(p)
     t = build_topology(SPIN_HALF_HYPERCUBE, n)
     scheme = relabel(d, t)
-    expected_rounds = 0
-    expected_pulses = []
-    for mset in d.sets:
-        levels = chain_levels(scheme, mset)
-        if relabel is relabel_parallel_spin_half:
-            # every chain on a transition path in coxeter order: two rounds at
-            # most, pulsed as the even-position path edges, then the odd ones
-            assert scheme.style == COXETER
-            levels = coxeter_path(levels)
-            edges = list(zip(levels, levels[1:]))
-            edges = edges[0::2] + edges[1::2]
-            expected_rounds = max(expected_rounds, min(len(mset) - 1, 2))
-        else:
-            assert scheme.style == PATH
-            edges = list(zip(levels, levels[1:]))[::-1]
-            expected_rounds = max(expected_rounds, len(mset) - 1)
-        assert all(t.is_edge(u, v) for u, v in edges)
-        expected_pulses += [tuple(sorted(edge)) for edge in edges]
     seq = synthesize_scheme(d, scheme, t)
     assert len(seq) == min_pulse_count(d)
-    assert [pulse.levels for pulse in seq.pulses] == expected_pulses
     scheduled = schedule_rounds(seq)
     assert verify_permutation(sequence_product(scheduled), p, scheme).passed
-    assert len(scheduled.rounds) == expected_rounds
+    if relabel is relabel_parallel_spin_half:
+        # every chain on a transition path in coxeter order: two rounds at
+        # most, pulsed as the even-position path edges, then the odd ones
+        assert scheme.style == COXETER
+        expected_pulses = []
+        for mset in d.sets:
+            levels = coxeter_path(chain_levels(scheme, mset))
+            edges = list(zip(levels, levels[1:]))
+            edges = edges[0::2] + edges[1::2]
+            assert all(t.is_edge(u, v) for u, v in edges)
+            expected_pulses += [tuple(sorted(edge)) for edge in edges]
+        assert [pulse.levels for pulse in seq.pulses] == expected_pulses
+        assert len(scheduled.rounds) == max(min(len(mset) - 1, 2) for mset in d.sets)
+    else:
+        # every chain on a transition path in chain order, pulsed as a tree
+        # of cube edges among its own levels: never deeper than the path's
+        # |S| - 1 rounds, and no shallower than the farthest population moves
+        assert scheme.style == PATH
+        end = 0
+        for mset in d.sets:
+            levels = chain_levels(scheme, mset)
+            assert all(t.is_edge(u, v) for u, v in zip(levels, levels[1:]))
+            start, end = end, end + len(mset) - 1
+            assert all(
+                t.is_edge(*pulse.levels) and {*pulse.levels} <= {*levels}
+                for pulse in seq.pulses[start:end]
+            )
+        assert len(scheduled.rounds) <= max(len(mset) - 1 for mset in d.sets)
+        sigma = scheme.labeling.induced(p)
+        assert len(scheduled.rounds) >= max((lv ^ dst).bit_count() for lv, dst in enumerate(sigma))
 
 
 def gray(k):

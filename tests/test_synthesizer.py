@@ -37,6 +37,7 @@ from levelpulse import (
     synthesize_scheme,
     verify_permutation,
 )
+from levelpulse.labeler import PATH, LabelingScheme
 from levelpulse.permutation import cycles
 from levelpulse.synthesizer import (
     _detour_pulses,
@@ -45,6 +46,7 @@ from levelpulse.synthesizer import (
     _hypercube_candidates,
     _hypercube_program,
     _hypercube_pulses,
+    _interval_tables,
     _read_tree,
     _round_numbers,
     _route_tokens,
@@ -131,6 +133,16 @@ def test_on_path_rejects_non_path(full_adder):
         synthesize_on_path(d.sets[4], (0, 2, 4, 6), t, scheme.labeling)
     with pytest.raises(ValueError, match="length"):
         synthesize_on_path(d.sets[4], (0, 1, 2), t, scheme.labeling)
+
+
+def test_hypercube_path_scheme_rejects_chain_without_tree():
+    # levels 0, 3, 5, 6 share no cube edge, so no tree of transitions
+    # carries the 4-cycle placed on them
+    t = build_topology(SPIN_HALF_HYPERCUBE, 3)
+    p = Permutation(3, (3, 1, 2, 5, 4, 6, 0, 7))
+    scheme = LabelingScheme(conventional_labeling(t), PATH)
+    with pytest.raises(ValueError, match="no tree of transitions"):
+        synthesize_scheme(maximal_sets(p), scheme, t)
 
 
 def test_fixed_labeling_chain_counts(full_adder):
@@ -296,6 +308,30 @@ def test_report_hypercube(full_adder):
     rep = pulse_count_report(full_adder, t)
     assert rep.counts == {"pairswap": 8, "parallel": 8, "cl": 8}
     assert rep.rounds["parallel"] == 2
+    assert rep.rounds["pairswap"] == 3
+
+
+def test_report_composed_hypercube_pairswap(full_adder):
+    # adder then swap:2,4 has sets of 6 and 8 states, each laid on a path;
+    # pulsed along their paths they took 7 rounds, as their trees they take 4
+    t = build_topology(SPIN_HALF_HYPERCUBE, 4)
+    q = compose(full_adder, builtin_operation("swap:2,4", 4))
+    rep = pulse_count_report(q, t)
+    assert (rep.counts["pairswap"], rep.rounds["pairswap"]) == (12, 4)
+
+
+def test_pairswap_baseline_n10_table():
+    # the seeded N = 10 table of the ROADMAP baseline: 461 rounds when each
+    # set was pulsed along its path
+    mapping = list(range(1024))
+    random.Random(2026).shuffle(mapping)
+    p = Permutation(10, tuple(mapping))
+    d = maximal_sets(p)
+    t = build_topology(SPIN_HALF_HYPERCUBE, 10)
+    scheme = relabel_pairswap_spin_half(d, t)
+    seq = schedule_rounds(synthesize_scheme(d, scheme, t))
+    assert (len(seq), len(seq.rounds)) == (1017, 16)
+    assert verify_permutation(sequence_product(seq), p, scheme).passed
 
 
 def test_pulse_program_round_trip(full_adder):
@@ -572,13 +608,87 @@ def test_exact_cycle_tree_is_shallowest_read_out():
             continue
         assert_factors_cycle(got, cyc, t)
         depths = [
-            max(_round_numbers(_read_tree(tables, high_m, high_x), len(cyc)), default=0)
+            max(_round_numbers(_read_tree(tables, high_m, high_x)[0], len(cyc)), default=0)
             for high_m in (True, False)
             for high_x in (True, False)
         ]
         assert max(_round_numbers(got, t.level_count), default=0) == min(depths), cyc
         shallower += min(depths) < depths[0]
     assert shallower > 100  # the (highest, highest) tree is often not the shallowest
+
+
+def reference_read_tree(tables, high_m, high_x):
+    # the read-out rule, recursively: N[l][r] emits N[m][r], N[l][x], the
+    # pulse (l, m), then N[x+1][m]
+    row, col, chords = tables
+    out = []
+
+    def emit(l, r):
+        if l < r:
+            bits = chords[l] & col[r]
+            m = (bits if high_m else bits & -bits).bit_length() - 1
+            bits = row[l] & col[m] >> 1
+            x = (bits if high_x else bits & -bits).bit_length() - 1
+            emit(m, r)
+            emit(l, x)
+            out.append((l, m))
+            emit(x + 1, m)
+
+    emit(0, len(row) - 1)
+    return out
+
+
+@st.composite
+def cube_chains(draw):
+    # a chain laid on a cube path: a reflected Gray segment moved by a
+    # random bit flip, or a self-avoiding random walk
+    n = draw(st.integers(2, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << n
+    if draw(st.booleans()):
+        start = rng.randrange(size)
+        stop = rng.randint(start + 1, size)
+        flip = rng.randrange(size)
+        chain = [k ^ (k >> 1) ^ flip for k in range(start, stop)]
+    else:
+        chain = [rng.randrange(size)]
+        for _ in range(rng.randrange(size)):
+            steps = [chain[-1] ^ (1 << b) for b in range(n)]
+            steps = [lv for lv in steps if lv not in chain]
+            if not steps:
+                break
+            chain.append(rng.choice(steps))
+    return build_topology(SPIN_HALF_HYPERCUBE, n), tuple(chain)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=cube_chains())
+def test_path_tables_and_capped_read_outs_match_references(case):
+    # the closed-form tables equal the interval DP's; each capped read-out is
+    # the uncapped one while its rounds stay below the cap, and the kept tree
+    # is the one the rule "read out four ways, count each with
+    # _round_numbers, keep the first with the fewest rounds" picks
+    t, chain = case
+    k = len(chain)
+    tables = _tree_tables(chain, t)
+    assert tables == _interval_tables(chain, t)
+    farthest = max((a ^ b).bit_count() for a, b in zip(chain, chain[1:] + chain[:1]))
+    best, least = [], k
+    for high_m, high_x in ((True, True), (False, False), (True, False), (False, True)):
+        tree = reference_read_tree(tables, high_m, high_x)
+        rounds = max(_round_numbers(tree, k), default=0)
+        assert _read_tree(tables, high_m, high_x) == (tree, rounds)
+        for cap in {1, max(rounds, 1), rounds + 1, k}:
+            got = _read_tree(tables, high_m, high_x, cap)
+            assert got == ((tree, rounds) if rounds < cap else None)
+        if rounds < least:
+            best, least = tree, rounds
+        if least == farthest:
+            break
+    assert least <= k - 1
+    assert _exact_cycle_pulses(chain, t) == [
+        tuple(sorted((chain[l], chain[m]))) for l, m in best
+    ]
 
 
 def test_exact_gray_order_cycle_n10():
@@ -713,7 +823,7 @@ def test_all_exact_tables_keep_shallowest_trees():
             continue
         first = [
             (orbit[l], orbit[m]) for orbit, got in zip(orbits, tables)
-            for l, m in _read_tree(got, True, True)
+            for l, m in _read_tree(got, True, True)[0]
         ]
         routed = _hypercube_program(sigma, t)
         assert len(routed) == len(first) == 8 - len(orbits)
