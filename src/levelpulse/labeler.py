@@ -4,10 +4,11 @@ An optimal scheme places every multi-element chain on levels that are
 pulse-connected, so each set of L states needs exactly L - 1 pulses.  On
 the chain this means contiguous segments.  On the hypercube a greedy
 descent embeds the chains as paths near conventional labeling, and where
-it dead-ends they are laid along the reflected Gray code, a Hamiltonian
-path, so placement never fails.  The parallel variant puts every chain
-on its path in bipartite Coxeter order, so the whole operation runs in
-at most two simultaneous rounds.
+it dead-ends they are laid on consecutive positions of the reflected
+Gray code, a Hamiltonian path, in bipartite Coxeter order, so placement
+never fails and the fallback runs in at most two simultaneous rounds.
+The parallel variant puts every chain on its path in Coxeter order, so
+the whole operation runs in at most two rounds.
 """
 
 from __future__ import annotations
@@ -46,13 +47,15 @@ class LabelingScheme:
 
     A placement scheme lays every maximal set on a transition path, so
     the labeling is the placement: the levels of a set are
-    ``labeling.level_of(s)`` over its chain.  ``PATH`` chains lie on the
-    path in chain order; on the quadrupolar chain they are pulsed along
-    it, and on the hypercube as the shallowest tree of transitions among
-    their levels (``synthesize_scheme``).  ``COXETER`` chains sit on a path
-    v_0 ... v_(L-1) with element j on v_(2j) while 2j < L and on
-    v_(2(L-1-j)+1) after that, so the path's even-position edges are the
-    pairs (s_i, s_(L-1-i)) and its odd-position edges the pairs
+    ``labeling.level_of(s)`` over its chain.  ``PATH`` chains (``ols``
+    and embedded ``pairswap``) lie on the path in chain order; on the
+    quadrupolar chain they are pulsed along it, and on the hypercube as
+    the shallowest tree of transitions among their levels
+    (``synthesize_scheme``).  ``COXETER`` chains (``parallel``, and the
+    reflected Gray layout either hypercube scheme takes on a dead end)
+    sit on a path v_0 ... v_(L-1) with element j on v_(2j) while 2j < L
+    and on v_(2(L-1-j)+1) after that, so the path's even-position edges
+    are the pairs (s_i, s_(L-1-i)) and its odd-position edges the pairs
     (s_i, s_(L-i)): two reflections of the chain order.  Fixed labelings
     (conventional, gray) have no style; their pulse sequences come from
     routing instead.
@@ -202,14 +205,12 @@ def _embed_chains(
     return paths
 
 
-def _gray_scheme(
-    d: MaximalSetDecomposition, t: Topology, style: str = PATH
-) -> LabelingScheme:
+def _gray_scheme(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
     """Lay the chains, largest first, on consecutive reflected Gray positions.
 
     Position k is level k ^ (k >> 1) and neighbouring positions differ in
-    one bit, so every chain lands on a transition path, taken in ``style``
-    order.
+    one bit, so every chain lands on a transition path, taken in Coxeter
+    order: the scheme runs in at most two rounds.
     """
     gray = gray_labeling(t).level_to_label
     segments: dict[int, tuple[int, ...]] = {}
@@ -218,7 +219,7 @@ def _gray_scheme(
         segments[i] = gray[k : k + len(d.sets[i])]
         k += len(d.sets[i])
     _fill_singletons(d, t, segments)
-    return _scheme_from_segments(d, t, segments, style)
+    return _scheme_from_segments(d, t, segments, COXETER)
 
 
 def relabel_pairswap_spin_half(
@@ -229,9 +230,9 @@ def relabel_pairswap_spin_half(
     Starting from conventional labeling, labels are interchanged until
     consecutive chain elements of every maximal set sit on hypercube
     edges.  One greedy descent prefers swaps that keep labels at or near
-    their conventional levels; if it dead-ends, the whole scheme is
-    built on the reflected Gray code instead, which always succeeds but
-    relabels most levels.
+    their conventional levels; if it dead-ends, the whole scheme is the
+    reflected Gray code layout of ``relabel_parallel_spin_half`` instead,
+    which always succeeds in at most two rounds but relabels most levels.
     """
     if t.kind != SPIN_HALF_HYPERCUBE:
         raise ValueError("pair-swap relabeling applies to the spin-1/2 hypercube")
@@ -313,7 +314,7 @@ def relabel_parallel_spin_half(
 
     paths = _embed_chains(d, t, leftovers, blocked=used)
     if paths is None:
-        return _gray_scheme(d, t, COXETER)
+        return _gray_scheme(d, t)
     segments.update(paths)
     _fill_singletons(d, t, segments)
     return _scheme_from_segments(d, t, segments, COXETER)

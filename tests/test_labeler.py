@@ -211,18 +211,28 @@ def test_pairswap_identity_is_conventional():
 
 def test_pairswap_chains_edge_connected_random():
     rng = random.Random(99)
+    styles = set()
     for n in (2, 3):
         t = build_topology(SPIN_HALF_HYPERCUBE, n)
         for _ in range(60):
             p = random_permutation(n, rng)
             d = maximal_sets(p)
             scheme = relabel_pairswap_spin_half(d, t)
-            assert scheme.style == PATH
-            for mset in d.sets:
-                levels = chain_levels(scheme, mset)
-                for u, v in zip(levels, levels[1:]):
-                    assert t.is_edge(u, v)
-            assert len(synthesize_scheme(d, scheme, t)) == min_pulse_count(d)
+            seq = synthesize_scheme(d, scheme, t)
+            styles.add(scheme.style)
+            if scheme.style == PATH:
+                for mset in d.sets:
+                    levels = chain_levels(scheme, mset)
+                    for u, v in zip(levels, levels[1:]):
+                        assert t.is_edge(u, v)
+            else:
+                # a dead end: every chain on a Gray segment in coxeter order
+                assert scheme.style == COXETER
+                assert [pulse.levels for pulse in seq.pulses] == coxeter_pulses(d, scheme, t)
+                assert len(schedule_rounds(seq).rounds) <= 2
+            assert len(seq) == min_pulse_count(d)
+    # the greedy descent embeds most of these tables and dead-ends on some
+    assert styles == {PATH, COXETER}
 
 
 def test_pairswap_requires_hypercube(full_adder):
@@ -272,6 +282,19 @@ def coxeter_path(levels):
     return tuple(path)
 
 
+def coxeter_pulses(d, scheme, t):
+    # every chain on a transition path in coxeter order, pulsed as the
+    # even-position path edges, then the odd ones
+    expected = []
+    for mset in d.sets:
+        levels = coxeter_path(chain_levels(scheme, mset))
+        edges = list(zip(levels, levels[1:]))
+        edges = edges[0::2] + edges[1::2]
+        assert all(t.is_edge(u, v) for u, v in edges)
+        expected += [tuple(sorted(edge)) for edge in edges]
+    return expected
+
+
 @pytest.mark.parametrize("relabel", [relabel_pairswap_spin_half, relabel_parallel_spin_half])
 @settings(max_examples=30, deadline=None, database=None)
 @given(n=st.integers(4, 10), seed=st.integers(0, 2**32 - 1))
@@ -285,17 +308,11 @@ def test_hypercube_placement_random_tables(relabel, n, seed):
     scheduled = schedule_rounds(seq)
     assert verify_permutation(sequence_product(scheduled), p, scheme).passed
     if relabel is relabel_parallel_spin_half:
-        # every chain on a transition path in coxeter order: two rounds at
-        # most, pulsed as the even-position path edges, then the odd ones
         assert scheme.style == COXETER
-        expected_pulses = []
-        for mset in d.sets:
-            levels = coxeter_path(chain_levels(scheme, mset))
-            edges = list(zip(levels, levels[1:]))
-            edges = edges[0::2] + edges[1::2]
-            assert all(t.is_edge(u, v) for u, v in edges)
-            expected_pulses += [tuple(sorted(edge)) for edge in edges]
-        assert [pulse.levels for pulse in seq.pulses] == expected_pulses
+    if scheme.style == COXETER:
+        # parallel, or a pairswap dead end: every chain on a transition path
+        # in coxeter order, so two rounds at most
+        assert [pulse.levels for pulse in seq.pulses] == coxeter_pulses(d, scheme, t)
         assert len(scheduled.rounds) == max(min(len(mset) - 1, 2) for mset in d.sets)
     else:
         # every chain on a transition path in chain order, pulsed as a tree
@@ -329,17 +346,55 @@ def incrementers6():
     return Permutation(6, tuple(step(x) for x in range(64)))
 
 
-def test_pairswap_dead_end_falls_back_to_gray_path():
+def test_pairswap_dead_end_falls_back_to_gray_coxeter():
     d = maximal_sets(incrementers6())
     t = build_topology(SPIN_HALF_HYPERCUBE, 6)
     assert _embed_chains(d, t, _multi_sets(d)) is None
     scheme = relabel_pairswap_spin_half(d, t)
-    assert scheme.style == PATH
+    assert scheme.style == COXETER
+    assert scheme == relabel_parallel_spin_half(d, t)
     big, *quads = [chain_levels(scheme, m) for m in d.sets if len(m) > 1]
-    # largest first on consecutive Gray positions
-    assert big == tuple(gray(k) for k in range(32))
+    # largest first on consecutive Gray positions, each in coxeter order
+    path = [gray(k) for k in range(32)]
+    assert big == tuple(path[0::2] + path[1::2][::-1])
     for j, levels in enumerate(quads):
-        assert levels == tuple(gray(k) for k in range(32 + 4 * j, 36 + 4 * j))
+        path = [gray(k) for k in range(32 + 4 * j, 36 + 4 * j)]
+        assert levels == tuple(path[0::2] + path[1::2][::-1])
+    assert len(schedule_rounds(synthesize_scheme(d, scheme, t)).rounds) == 2
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+def test_pairswap_coxeter_exactly_on_dead_ends(n, seed):
+    p = random_permutation(n, random.Random(seed))
+    d = maximal_sets(p)
+    t = build_topology(SPIN_HALF_HYPERCUBE, n)
+    scheme = relabel_pairswap_spin_half(d, t)
+    dead_end = _embed_chains(d, t, _multi_sets(d)) is None
+    assert scheme.style == (COXETER if dead_end else PATH)
+    seq = schedule_rounds(synthesize_scheme(d, scheme, t))
+    assert len(seq) == sum(len(mset) - 1 for mset in d.sets)
+    assert verify_permutation(sequence_product(seq), p, scheme).passed
+    if dead_end:
+        # one round of disjoint swaps is an involution, so a set of three
+        # or more states needs the second round
+        assert len(seq.rounds) <= 2
+        assert (len(seq.rounds) == 2) == any(len(mset) >= 3 for mset in d.sets)
+
+
+@pytest.mark.parametrize("second, pulses, rounds", [(None, 8, 3), ("swap:2,4", 12, 4)])
+def test_pairswap_paper_tables_embed_greedily(full_adder, second, pulses, rounds):
+    # the adder and adder then swap:2,4 never reach the Gray fallback: their
+    # chains stay near conventional labeling, pulsed as shallow trees
+    p = full_adder if second is None else compose(full_adder, builtin_operation(second, 4))
+    d = maximal_sets(p)
+    t = cube4()
+    assert _embed_chains(d, t, _multi_sets(d)) is not None
+    scheme = relabel_pairswap_spin_half(d, t)
+    assert scheme.style == PATH
+    seq = schedule_rounds(synthesize_scheme(d, scheme, t))
+    assert (len(seq), len(seq.rounds)) == (pulses, rounds)
+    assert verify_permutation(sequence_product(seq), p, scheme).passed
 
 
 def test_parallel_dead_end_puts_4_cycles_on_gray_squares():

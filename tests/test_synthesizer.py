@@ -321,16 +321,19 @@ def test_report_composed_hypercube_pairswap(full_adder):
 
 
 def test_pairswap_baseline_n10_table():
-    # the seeded N = 10 table of the ROADMAP baseline: 461 rounds when each
-    # set was pulsed along its path
+    # the seeded N = 10 table of the ROADMAP baseline: the greedy descent
+    # dead-ends, so pairswap takes parallel's Gray layout in Coxeter order
+    # and runs in 2 rounds (461 when each set was pulsed along a Gray path,
+    # 16 as the path's shallowest tree)
     mapping = list(range(1024))
     random.Random(2026).shuffle(mapping)
     p = Permutation(10, tuple(mapping))
     d = maximal_sets(p)
     t = build_topology(SPIN_HALF_HYPERCUBE, 10)
     scheme = relabel_pairswap_spin_half(d, t)
+    assert scheme == relabel_parallel_spin_half(d, t)
     seq = schedule_rounds(synthesize_scheme(d, scheme, t))
-    assert (len(seq), len(seq.rounds)) == (1017, 16)
+    assert (len(seq), len(seq.rounds)) == (1017, 2)
     assert verify_permutation(sequence_product(seq), p, scheme).passed
 
 
