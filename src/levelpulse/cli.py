@@ -113,9 +113,7 @@ def _resolve_operations(args: argparse.Namespace) -> tuple[Permutation, str, Top
 
 
 def _default_labeling(args: argparse.Namespace) -> str:
-    if args.labeling:
-        return args.labeling
-    return "ols" if args.topology == QUADRUPOLAR_CHAIN else "pairswap"
+    return args.labeling or synthesizer.SCHEMES[args.topology][0]
 
 
 def _check_scheme(args: argparse.Namespace, name: str) -> None:

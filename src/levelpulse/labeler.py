@@ -160,6 +160,8 @@ def _preference(
     # rank 0: label returns to its conventional home level
     # rank 1: displaces a label that belongs to the rest of this chain
     # rank 2: occupies a level whose own label was already placed elsewhere
+    # rank 3: displaces a label not yet placed that belongs to no rest of
+    #         this chain: a later chain's, or a fixed point's
     if level == label:
         rank = 0
     elif level in remaining:

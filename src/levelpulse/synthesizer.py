@@ -193,16 +193,15 @@ def synthesize_scheme(
 
     Each chain s_0 ... s_(L-1) lies on the levels its labels carry.  On
     the quadrupolar chain a ``PATH`` chain goes through
-    ``synthesize_on_path``.  On the hypercube a ``PATH`` chain of four or
-    more states is pulsed as the shallowest tree ``_exact_cycle_pulses``
-    reads off its levels: its path is one such tree, so the DP always
-    succeeds, and the set takes at most the path's L - 1 rounds.  A
-    shorter chain's only tree is its path, since the cube has no
-    triangles.  A ``COXETER`` chain is pulsed as two reflections of its
-    order: the pairs (s_i, s_(L-1-i)) for i < L // 2, then (s_i, s_(L-i))
-    for 1 <= i < (L + 1) // 2, each reflection one round of disjoint
-    pulses.  Sets are synthesized independently and merged in canonical
-    set order; the sequence length is exactly the sum of (|S_i| - 1).
+    ``synthesize_on_path``.  On the hypercube a ``PATH`` chain is pulsed
+    as the shallowest tree ``_exact_cycle_pulses`` reads off its levels:
+    its path is one such tree, so the DP always succeeds, and the set
+    takes at most the path's L - 1 rounds.  A ``COXETER`` chain is
+    pulsed as two reflections of its order: the pairs (s_i, s_(L-1-i))
+    for i < L // 2, then (s_i, s_(L-i)) for 1 <= i < (L + 1) // 2, each
+    reflection one round of disjoint pulses.  Sets are synthesized
+    independently and merged in canonical set order; the sequence length
+    is exactly the sum of (|S_i| - 1).
     """
     if scheme.style is None:
         raise ValueError("scheme has no placement style; use synthesize_fixed_labeling")
@@ -216,10 +215,7 @@ def synthesize_scheme(
             pairs = [(i, size - 1 - i) for i in range(size // 2)]
             pairs += [(i, size - i) for i in range(1, (size + 1) // 2)]
             pulses.extend(_pulses(t, labeling, [(levels[i], levels[j]) for i, j in pairs]))
-        elif t.kind == QUADRUPOLAR_CHAIN or len(levels) <= 3:
-            # on the cube, which has no triangles, a path of at most three
-            # levels is its chain's only tree, and the DP would read it out
-            # pulse for pulse as this
+        elif t.kind == QUADRUPOLAR_CHAIN:
             pulses.extend(synthesize_on_path(mset, levels, t, labeling))
         else:
             tree = _exact_cycle_pulses(levels, t)
@@ -269,46 +265,13 @@ def _tree_tables(cycle: tuple[int, ...], t: Topology) -> tuple[list[int], ...] |
     its levels, on a circle in cycle order, carry a non-crossing spanning
     tree of topology edges, and the tree's edges are then its pulses (the
     tree property of minimal cycle factorizations; Goulden and Yong, JCTA
-    2002).  Returns the bit sets (row, col, chords) of ``_interval_tables``.
-    When every step c_i -> c_(i+1) is a cube edge, as on a placement
-    chain, every interval l..r carries its own path, so every cube edge
-    (l, m) is a valid chord and the tables have a closed form, built in
-    O(kN) instead of the DP's O(k^2): row[l] holds bits l..k-1, col[r]
-    bits 0..r, and chords[l] the later positions one cube edge away.
-    """
-    if not _walks_edges(cycle):
-        return _interval_tables(cycle, t)
-    k = len(cycle)
-    pos = [-1] * t.level_count  # a list, not a dict: this loop carries the tables
-    for i, lv in enumerate(cycle):
-        pos[lv] = i
-    chords = []
-    for l, lv in enumerate(cycle):
-        near = 0
-        for v in t.neighbors[lv]:
-            m = pos[v]
-            if m > l:
-                near |= 1 << m
-        chords.append(near)
-    top = (1 << k) - 1
-    return [top >> l << l for l in range(k)], [(2 << r) - 1 for r in range(k)], chords
-
-
-def _walks_edges(cycle: tuple[int, ...]) -> bool:
-    """Whether every step c_i -> c_(i+1), i + 1 < len, is a cube edge."""
-    return {*map(int.bit_count, map(xor, cycle, cycle[1:]))} <= {1}
-
-
-def _interval_tables(cycle: tuple[int, ...], t: Topology) -> tuple[list[int], ...] | None:
-    """The non-crossing-tree interval DP of ``_tree_tables``, run in full.
-
-    Interval DP over positions l..r in O(k^2 N): N[l][r] when l..r carry
-    such a tree, T[l][m] when l..m carry one containing the chord (l, m),
-    with T[l][m] = edge(l, m) and N[l][x] and N[x+1][m] for some x, and
-    N[l][r] = T[l][m] and N[m][r] for some neighbour m <= r of l.  Returns
-    the bit sets (row, col, chords): row[l] has bit r and col[r] has bit l
-    when N[l][r], chords[l] has bit m when T[l][m]; or None when the
-    cycle has no such tree.
+    2002).  Interval DP over positions l..r in O(k^2 N): N[l][r] when l..r
+    carry such a tree, T[l][m] when l..m carry one containing the chord
+    (l, m), with T[l][m] = edge(l, m) and N[l][x] and N[x+1][m] for some x,
+    and N[l][r] = T[l][m] and N[m][r] for some neighbour m <= r of l.
+    Returns the bit sets (row, col, chords): row[l] has bit r and col[r]
+    has bit l when N[l][r], chords[l] has bit m when T[l][m]; or None when
+    the cycle has no such tree.
     """
     k = len(cycle)
     # each pulse moves two populations one step, so k - 1 pulses move 2k - 2
@@ -397,19 +360,14 @@ def _exact_cycle_pulses(
     another is shallower: each later read-out is capped at the best
     rounds so far and abandoned when it reaches them.  The search stops
     at a read-out whose rounds equal the cycle's largest Hamming step,
-    which no program beats.  When every step of the cycle is a cube edge,
-    as on a placement chain, both low-m read-outs are the path itself in
-    len - 1 rounds, which never wins, so only the high-m ones run.
-    Returns None when the cycle needs more pulses on this topology.
+    which no program beats.  Returns None when the cycle needs more
+    pulses on this topology.
     """
     tables = _tree_tables(cycle, t)
     if tables is None:
         return None
     farthest = max(map(int.bit_count, map(xor, cycle, cycle[1:] + cycle[:1])))
     orders = ((True, True), (False, False), (True, False), (False, True))
-    if _walks_edges(cycle):
-        # the lowest m of N[l][r] is then l + 1, and x = l
-        orders = orders[0::2]
     best: list[tuple[int, int]] = []
     least = len(cycle)
     for high_m, high_x in orders:
@@ -748,7 +706,8 @@ def _benchmark_counts() -> dict[tuple[int, ...], dict[str, int]]:
     }
 
 
-# labeling schemes valid on each topology, in report order
+# labeling schemes valid on each topology, in report order; the first is
+# the topology's default
 SCHEMES = {
     QUADRUPOLAR_CHAIN: ("ols", "cl", "gray"),
     SPIN_HALF_HYPERCUBE: ("pairswap", "parallel", "cl"),

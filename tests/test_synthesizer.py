@@ -46,7 +46,6 @@ from levelpulse.synthesizer import (
     _hypercube_candidates,
     _hypercube_program,
     _hypercube_pulses,
-    _interval_tables,
     _read_tree,
     _round_numbers,
     _route_tokens,
@@ -135,11 +134,20 @@ def test_on_path_rejects_non_path(full_adder):
         synthesize_on_path(d.sets[4], (0, 1, 2), t, scheme.labeling)
 
 
-def test_hypercube_path_scheme_rejects_chain_without_tree():
-    # levels 0, 3, 5, 6 share no cube edge, so no tree of transitions
-    # carries the 4-cycle placed on them
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        (3, 1, 2, 0, 4, 5, 6, 7),
+        (3, 1, 2, 5, 4, 0, 6, 7),
+        (3, 1, 2, 5, 4, 6, 0, 7),
+    ],
+    ids=["2-state", "3-state", "4-state"],
+)
+def test_hypercube_path_scheme_rejects_chain_without_tree(mapping):
+    # the chain's levels, among 0, 3, 5, 6, share no cube edge, so no tree
+    # of transitions carries the cycle placed on them, however short
     t = build_topology(SPIN_HALF_HYPERCUBE, 3)
-    p = Permutation(3, (3, 1, 2, 5, 4, 6, 0, 7))
+    p = Permutation(3, mapping)
     scheme = LabelingScheme(conventional_labeling(t), PATH)
     with pytest.raises(ValueError, match="no tree of transitions"):
         synthesize_scheme(maximal_sets(p), scheme, t)
@@ -667,14 +675,14 @@ def cube_chains(draw):
 @settings(max_examples=100, deadline=None, database=None)
 @given(case=cube_chains())
 def test_path_tables_and_capped_read_outs_match_references(case):
-    # the closed-form tables equal the interval DP's; each capped read-out is
-    # the uncapped one while its rounds stay below the cap, and the kept tree
-    # is the one the rule "read out four ways, count each with
-    # _round_numbers, keep the first with the fewest rounds" picks
+    # a chain on a cube path always has tables, since its path is a tree;
+    # each capped read-out is the uncapped one while its rounds stay below
+    # the cap, and the kept tree is the one the rule "read out four ways,
+    # count each with _round_numbers, keep the first with the fewest
+    # rounds" picks
     t, chain = case
     k = len(chain)
     tables = _tree_tables(chain, t)
-    assert tables == _interval_tables(chain, t)
     farthest = max((a ^ b).bit_count() for a, b in zip(chain, chain[1:] + chain[:1]))
     best, least = [], k
     for high_m, high_x in ((True, True), (False, False), (True, False), (False, True)):
@@ -695,10 +703,13 @@ def test_path_tables_and_capped_read_outs_match_references(case):
 
 
 def test_exact_gray_order_cycle_n10():
-    # one 1,024-level cycle: the emitter must not recurse once per pulse
+    # one 1,024-level cycle, the tree DP's largest input: the emitter must
+    # not recurse once per pulse, and the kept tree takes 19 rounds
     t = build_topology(SPIN_HALF_HYPERCUBE, 10)
     cyc = tuple(i ^ (i >> 1) for i in range(1024))
-    assert_factors_cycle(_exact_cycle_pulses(cyc, t), cyc, t)
+    pulses = _exact_cycle_pulses(cyc, t)
+    assert_factors_cycle(pulses, cyc, t)
+    assert max(_round_numbers(pulses, t.level_count)) == 19
 
 
 def test_tree_test_small_cases():
