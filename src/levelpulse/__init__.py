@@ -15,6 +15,7 @@ from .permutation import (
     builtin_operation,
     compose,
     count_optimal_labelings,
+    cycles,
     maximal_sets,
     min_pulse_count,
     parse_truth_table,
@@ -32,7 +33,6 @@ from .topology import (
 from .labeler import (
     LabelingScheme,
     enumerate_ols_quadrupolar,
-    fixed_scheme,
     ols_quadrupolar,
     parse_labeling,
     relabel_pairswap_spin_half,
@@ -40,7 +40,6 @@ from .labeler import (
     serialize_labeling,
 )
 from .synthesizer import (
-    Pulse,
     PulseCountReport,
     PulseSequence,
     parse_pulse_program,

@@ -179,8 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seq = synthesizer.parse_pulse_program(_read_text(args.program), t, labeling)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_FORMAT) from exc
-    scheme = labeler.fixed_scheme(labeling)
-    verdict = simulator.verify_permutation(simulator.sequence_product(seq), p, scheme)
+    verdict = simulator.verify_permutation(seq, p)
     lines = [
         "command: verify",
         "operation: {}".format(op_name),
@@ -220,7 +219,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     _check_scheme(args, name)
     scheme = synthesizer.scheme_for(name, maximal_sets(p), t)
     eq = simulator.equilibrium_populations(t)
-    fin = simulator.final_populations(eq, p, scheme)
+    fin = simulator.final_populations(eq, p, scheme.labeling)
     parts = [
         "command: spectrum",
         "operation: {}".format(op_name),

@@ -32,7 +32,6 @@ __all__ = [
     "enumerate_ols_quadrupolar",
     "relabel_pairswap_spin_half",
     "relabel_parallel_spin_half",
-    "fixed_scheme",
     "serialize_labeling",
     "parse_labeling",
 ]
@@ -63,11 +62,6 @@ class LabelingScheme:
 
     labeling: Labeling
     style: str | None = None
-
-
-def fixed_scheme(labeling: Labeling) -> LabelingScheme:
-    """Wrap a fixed labeling (no placement style) as a scheme."""
-    return LabelingScheme(labeling)
 
 
 def _placement_order(d: MaximalSetDecomposition) -> list[int]:

@@ -2,14 +2,16 @@
 
 A pi_y pulse on one transition is the identity except for the 2x2 block
 (0, 1 / -1, 0) on its two levels, with the +1 in the upper triangle of
-the label-ordered basis.  The product of a ``PulseSequence``, whose
-constructor has already checked every level, is taken in application
-order with the first pulse leftmost, so the realized permutation is read
-along rows: the single nonzero entry of row j sits in the column the
-amplitude of level j moves to, and its sign is the residual controlled
-phase.  Every product is therefore a signed permutation, tracked exactly
-as one destination level and one +1/-1 phase per row; verification
-compares the levels and reports the phases without judging them.
+the label-ordered basis: the sequence's labeling orients each pulse.
+The product of a ``PulseSequence``, whose constructor has already
+checked every level, is taken in application order with the first
+pulse leftmost, so the realized permutation is read along rows: the
+single nonzero entry of row j sits in the column the amplitude of level
+j moves to, and its sign is the residual controlled phase.  Every
+product is therefore a signed permutation, tracked exactly as one
+destination level and one +1/-1 phase per row; verification compares
+the levels with those the program's own labeling induces and reports
+the phases without judging them.
 
 Populations use the high-temperature deviation model with equal unit
 steps per spin flip, which keeps every equilibrium and final population
@@ -25,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .labeler import LabelingScheme
 from .permutation import Permutation
-from .synthesizer import Pulse, PulseSequence
-from .topology import QUADRUPOLAR_CHAIN, Topology
+from .synthesizer import PulseSequence
+from .topology import QUADRUPOLAR_CHAIN, Labeling, Topology
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,26 +50,24 @@ __all__ = [
 ]
 
 
-def pulse_unitary(pulse: "Pulse | tuple[int, int]", dim: int) -> np.ndarray:
-    """Matrix of one transition-selective pi_y pulse.
+def pulse_unitary(pulse: tuple[int, int], labeling: Labeling) -> np.ndarray:
+    """Matrix of one transition-selective pi_y pulse on the level pair ``pulse``.
 
-    The +1 entry sits in the row of the level carrying the lower label
-    (for bare level pairs the labels default to the levels themselves).
+    The +1 entry sits in the row of the level carrying the lower label.
     Applying the pulse twice leaves a -1 phase on both levels (a 2 pi
     rotation) and the identity elsewhere.  This is the independent dense
     reference for :func:`sequence_product`, so it checks its levels itself.
     """
     import numpy as np
 
-    if isinstance(pulse, Pulse):
-        a, b, label_a, label_b = pulse
-    else:
-        a, b = label_a, label_b = pulse
+    a, b = pulse
+    dim = 1 << labeling.n_qubits
     if a == b:
         raise ValueError("pulse levels must differ")
     if not (0 <= a < dim and 0 <= b < dim):
         raise ValueError("pulse levels ({}, {}) out of range for dim {}".format(a, b, dim))
-    lo, hi = (a, b) if label_a < label_b else (b, a)
+    labels = labeling.level_to_label
+    lo, hi = (a, b) if labels[a] < labels[b] else (b, a)
     m = np.eye(dim, dtype=complex)
     m[lo, lo] = m[hi, hi] = 0.0
     m[lo, hi] = 1.0
@@ -81,16 +80,17 @@ def sequence_product(seq: PulseSequence) -> tuple[tuple[int, ...], tuple[int, ..
 
     Returns ``(realized, phases)``: the product's row j has its single
     nonzero entry ``phases[j]`` (+1 or -1) in column ``realized[j]``.
-    Each pulse moves the row sitting on the lower-label level to the
-    other level unchanged, and the row on the other level back with its
-    sign flipped, so the whole product costs O(P + 2^N).  An empty
-    sequence gives the identity.
+    Each pulse moves the row sitting on the level with the lower label
+    under ``seq.labeling`` to the other level unchanged, and the row on
+    the other level back with its sign flipped, so the whole product
+    costs O(P + 2^N).  An empty sequence gives the identity.
     """
-    dim = 1 << seq.n_qubits
+    labels = seq.labeling.level_to_label
+    dim = len(labels)
     row_at = list(range(dim))  # row whose nonzero entry sits in each column
     sign_at = [1] * dim  # and the sign of that entry
-    for a, b, label_a, label_b in seq.pulses:
-        if label_a > label_b:  # a becomes the level carrying the lower label
+    for a, b in seq.pulses:
+        if labels[a] > labels[b]:  # a becomes the level carrying the lower label
             a, b = b, a
         row_at[a], row_at[b] = row_at[b], row_at[a]
         sign_at[a], sign_at[b] = -sign_at[b], sign_at[a]
@@ -127,22 +127,18 @@ class Verdict:
     problems: tuple[str, ...] = ()
 
 
-def verify_permutation(
-    product: tuple[Sequence[int], Sequence[int]],
-    p: Permutation,
-    scheme: LabelingScheme,
-) -> Verdict:
-    """Check that a :func:`sequence_product` realizes a truth table up to phases.
+def verify_permutation(seq: PulseSequence, p: Permutation) -> Verdict:
+    """Check that a program realizes a truth table up to phases.
 
-    Every row must move to the level the scheme maps the row's output
-    label to.
+    Every row of the :func:`sequence_product` must move to the level the
+    program's labeling maps the row's output label to.
     """
-    realized, phases = product
-    if len(realized) != p.size:
+    if seq.n_qubits != p.n_qubits:
         raise ValueError(
-            "product dimension {} does not match 2^N = {}".format(len(realized), p.size)
+            "program dimension {} does not match 2^N = {}".format(1 << seq.n_qubits, p.size)
         )
-    expected = scheme.labeling.induced(p)
+    realized, phases = sequence_product(seq)
+    expected = seq.labeling.induced(p)
     problems = tuple(
         "level {} maps to level {}, expected {}".format(row, got, want)
         for row, (got, want) in enumerate(zip(realized, expected))
@@ -166,14 +162,14 @@ def equilibrium_populations(t: Topology) -> tuple[Fraction, ...]:
 
 
 def final_populations(
-    eq: Sequence[Fraction], p: Permutation, scheme: LabelingScheme
+    eq: Sequence[Fraction], p: Permutation, labeling: Labeling
 ) -> tuple[Fraction, ...]:
     """Populations after the operation: each one moves with its state.
 
     The level ending up with output label y holds the population that
     started on the level carrying the input label mapped to y.
     """
-    sigma = scheme.labeling.induced(p)
+    sigma = labeling.induced(p)
     inv = [0] * len(sigma)
     for src, dst in enumerate(sigma):
         inv[dst] = src

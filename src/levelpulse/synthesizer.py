@@ -27,10 +27,12 @@ Every step is polynomial.
 Pulses are always pi rotations about y on a single transition.  A pulse
 sequence also carries its partition into simultaneous rounds: pulses in
 one round touch pairwise disjoint levels, so reordering them never
-changes the product operator.  Routed, placed and parsed pulses all
-come from ``_pulses``, one shared ``Pulse`` per level pair.  A routed
-program repeats each of its transitions many times, so each transition
-is built, checked and formatted once: an unscheduled sequence validates
+changes the product operator.  A pulse is the level pair (a, b), a < b,
+of its transition; which states it exchanges follows from the
+sequence's one labeling.  Routed, placed and parsed pulses all come
+from ``_pulses``, one shared pair per transition.  A routed program
+repeats each of its transitions many times, so each transition is
+built, checked and formatted once: an unscheduled sequence validates
 each distinct pulse once, and the program text formats each distinct
 pulse, and each round number, once.
 """
@@ -39,12 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import xor
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .labeler import (
     COXETER,
     LabelingScheme,
-    fixed_scheme,
     ols_quadrupolar,
     relabel_pairswap_spin_half,
     relabel_parallel_spin_half,
@@ -69,7 +70,6 @@ from .topology import (
 )
 
 __all__ = [
-    "Pulse",
     "PulseSequence",
     "synthesize_on_path",
     "synthesize_scheme",
@@ -84,46 +84,34 @@ __all__ = [
 ]
 
 
-class Pulse(NamedTuple):
-    """A pi_y pulse on one single-quantum transition.
-
-    ``level_a < level_b`` always; the labels are the scheme labels of the
-    two levels and only annotate the pulse.  A pulse is a named tuple, so
-    it compares equal to the plain tuple of its four fields.
-    """
-
-    level_a: int
-    level_b: int
-    label_a: int
-    label_b: int
-
-    @property
-    def levels(self) -> tuple[int, int]:
-        return (self.level_a, self.level_b)
-
-
 @dataclass(frozen=True)
 class PulseSequence:
-    """An ordered pulse list partitioned into simultaneous rounds.
+    """An ordered pulse list, under one labeling, partitioned into rounds.
 
+    Each pulse is a pi_y pulse on the transition between the levels
+    (a, b), a < b; the labeling says which states it exchanges.
     ``rounds`` holds the round sizes; flattening the rounds in order
     reproduces the pulse list, every round holds at least one pulse and
     every pulsed level lies in [0, 2^N).  Unscheduled sequences have one
     pulse per round.
     """
 
-    n_qubits: int
-    pulses: tuple[Pulse, ...]
+    labeling: Labeling
+    pulses: tuple[tuple[int, int], ...]
     rounds: tuple[int, ...]
+
+    @property
+    def n_qubits(self) -> int:
+        return self.labeling.n_qubits
 
     def __post_init__(self) -> None:
         if len(self.rounds) == len(self.pulses) == self.rounds.count(1):
             # one pulse per round: only a == b can clash, so a pulse that
             # recurs (a long routed program) is checked once
             distinct = set(self.pulses)
-            if any(a == b for a, b, _, _ in distinct):
+            if any(a == b for a, b in distinct):
                 raise ValueError("pulses within a round must not share a level")
-            levels = {lv for a, b, _, _ in distinct for lv in (a, b)}
+            levels = {lv for pulse in distinct for lv in pulse}
         else:
             if min(self.rounds, default=1) < 1:
                 raise ValueError("round sizes must be at least 1")
@@ -133,7 +121,7 @@ class PulseSequence:
             end = 0
             for rno, size in enumerate(self.rounds):
                 start, end = end, end + size
-                for a, b, _, _ in self.pulses[start:end]:
+                for a, b in self.pulses[start:end]:
                     if a == b or round_of.get(a) == rno or round_of.get(b) == rno:
                         raise ValueError("pulses within a round must not share a level")
                     round_of[a] = round_of[b] = rno
@@ -145,33 +133,31 @@ class PulseSequence:
         return len(self.pulses)
 
 
-def _unscheduled(n_qubits: int, pulses: list[Pulse]) -> PulseSequence:
-    return PulseSequence(n_qubits, tuple(pulses), (1,) * len(pulses))
+def _unscheduled(labeling: Labeling, pulses: list[tuple[int, int]]) -> PulseSequence:
+    return PulseSequence(labeling, tuple(pulses), (1,) * len(pulses))
 
 
-def _pulse(t: Topology, labeling: Labeling, a: int, b: int) -> Pulse:
+def _pulse(t: Topology, a: int, b: int) -> tuple[int, int]:
     if a > b:
         a, b = b, a
     if not t.is_edge(a, b):
         raise ValueError("levels ({}, {}) are not a single-quantum transition".format(a, b))
-    return Pulse(a, b, labeling.level_to_label[a], labeling.level_to_label[b])
+    return (a, b)
 
 
-def _pulses(
-    t: Topology, labeling: Labeling, pairs: Sequence[tuple[int, int]]
-) -> list[Pulse]:
-    """The pulses on these level pairs, in order, one shared ``Pulse`` per pair.
+def _pulses(t: Topology, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pulses on these level pairs, in order, one shared tuple per pair.
 
     Each distinct pair is built and checked once, in order of first
     appearance, so the first pair that is not a transition raises.
     """
-    made = {pair: _pulse(t, labeling, *pair) for pair in dict.fromkeys(pairs)}
+    made = {pair: _pulse(t, *pair) for pair in dict.fromkeys(pairs)}
     return list(map(made.__getitem__, pairs))
 
 
 def synthesize_on_path(
-    mset: MaximalSet, levels: tuple[int, ...], t: Topology, labeling: Labeling
-) -> list[Pulse]:
+    mset: MaximalSet, levels: tuple[int, ...], t: Topology
+) -> list[tuple[int, int]]:
     """Pulses realizing one chain placed on a transition path.
 
     The L - 1 pulses are emitted in reverse chain order: the pulse on
@@ -183,13 +169,13 @@ def synthesize_on_path(
     if len(levels) != len(mset):
         raise ValueError("placement length does not match set size")
     pairs = [(levels[i], levels[i + 1]) for i in range(len(levels) - 2, -1, -1)]
-    return _pulses(t, labeling, pairs)
+    return _pulses(t, pairs)
 
 
 def synthesize_scheme(
     d: MaximalSetDecomposition, scheme: LabelingScheme, t: Topology
 ) -> PulseSequence:
-    """Pulse sequence for a placement scheme.
+    """The pulse sequence for a placement scheme.
 
     Each chain s_0 ... s_(L-1) lies on the levels its labels carry.  On
     the quadrupolar chain a ``PATH`` chain goes through
@@ -207,22 +193,22 @@ def synthesize_scheme(
         raise ValueError("scheme has no placement style; use synthesize_fixed_labeling")
     labeling = scheme.labeling
     to_level = labeling.label_to_level
-    pulses: list[Pulse] = []
+    pulses: list[tuple[int, int]] = []
     for mset in d.sets:
         levels = tuple(to_level[s] for s in mset.chain)
         if scheme.style == COXETER:
             size = len(levels)
             pairs = [(i, size - 1 - i) for i in range(size // 2)]
             pairs += [(i, size - i) for i in range(1, (size + 1) // 2)]
-            pulses.extend(_pulses(t, labeling, [(levels[i], levels[j]) for i, j in pairs]))
+            pulses.extend(_pulses(t, [(levels[i], levels[j]) for i, j in pairs]))
         elif t.kind == QUADRUPOLAR_CHAIN:
-            pulses.extend(synthesize_on_path(mset, levels, t, labeling))
+            pulses.extend(synthesize_on_path(mset, levels, t))
         else:
             tree = _exact_cycle_pulses(levels, t)
             if tree is None:
                 raise ValueError("chain levels {} carry no tree of transitions".format(levels))
-            pulses.extend(_pulses(t, labeling, tree))
-    return _unscheduled(t.n_qubits, pulses)
+            pulses.extend(_pulses(t, tree))
+    return _unscheduled(labeling, pulses)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +288,7 @@ def _tree_tables(cycle: tuple[int, ...], t: Topology) -> tuple[list[int], ...] |
 
 
 def _read_tree(
-    tables: tuple[list[int], ...], high_m: bool, high_x: bool, cap: int | None = None
+    tables: tuple[list[int], ...], high_m: bool, high_x: bool, cap: int
 ) -> tuple[list[tuple[int, int]], int] | None:
     """One tree of the DP tables as position pairs (l, m), l < m, and its rounds.
 
@@ -316,8 +302,6 @@ def _read_tree(
     """
     row, col, chords = tables
     k = len(row)
-    if cap is None:
-        cap = k  # a tree has k - 1 pulses, so at most k - 1 rounds
     out: list[tuple[int, int]] = []
     last = [0] * k  # the round of the latest pulse on each position
     # a stack of non-empty N intervals (l, r) and of chords (~l, m) to
@@ -651,7 +635,7 @@ def synthesize_fixed_labeling(
         raw = _odd_even_pulses(sigma)
     else:
         raw = _hypercube_program(sigma, t)
-    return _unscheduled(t.n_qubits, _pulses(t, labeling, raw))
+    return _unscheduled(labeling, _pulses(t, raw))
 
 
 def _round_numbers(pulses: Sequence[Sequence[int]], level_count: int) -> list[int]:
@@ -680,12 +664,12 @@ def schedule_rounds(seq: PulseSequence) -> PulseSequence:
     operator never changes; within a round pulses keep their order.
     """
     numbers = _round_numbers(seq.pulses, 1 << seq.n_qubits)
-    rounds: list[list[Pulse]] = [[] for _ in range(max(numbers, default=0) + 1)]
+    rounds: list[list[tuple[int, int]]] = [[] for _ in range(max(numbers, default=0) + 1)]
     for r, pulse in zip(numbers, seq.pulses):
         rounds[r].append(pulse)
     del rounds[0]  # round numbers start at 1
     return PulseSequence(
-        seq.n_qubits,
+        seq.labeling,
         tuple(pulse for rnd in rounds for pulse in rnd),
         tuple(len(rnd) for rnd in rounds),
     )
@@ -716,7 +700,7 @@ SCHEMES = {
 
 @dataclass(frozen=True)
 class PulseCountReport:
-    """Pulse and round counts per labeling scheme for one operation."""
+    """The pulse and round counts per labeling scheme for one operation."""
 
     topology: str
     counts: dict[str, int]
@@ -729,11 +713,11 @@ def scheme_for(
 ) -> LabelingScheme:
     """Build the named labeling scheme for a decomposition."""
     if name == "cl":
-        return fixed_scheme(conventional_labeling(t))
+        return LabelingScheme(conventional_labeling(t))
     if name == "gray":
         if t.kind != QUADRUPOLAR_CHAIN:
             raise ValueError("gray labeling applies to the quadrupolar chain only")
-        return fixed_scheme(gray_labeling(t))
+        return LabelingScheme(gray_labeling(t))
     if name == "ols":
         return ols_quadrupolar(d, t)
     if name == "pairswap":
@@ -787,14 +771,13 @@ def pulse_count_report(p: Permutation, t: Topology) -> PulseCountReport:
 
 
 def serialize_pulse_program(seq: PulseSequence) -> str:
-    """One line per pulse: round, pi_y, levels and the label annotation."""
-    # a dict, so a label outside [0, 2^N) raises instead of indexing from the end
-    kets = {label: bit_string(label, seq.n_qubits) for label in range(1 << seq.n_qubits)}
+    """One line per pulse: round, pi_y, levels and the labels they carry."""
+    kets = [bit_string(label, seq.n_qubits) for label in seq.labeling.level_to_label]
     # the text after the round is formatted once per distinct pulse
-    tails: dict[Pulse, str] = {}
+    tails: dict[tuple[int, int], str] = {}
     for pulse in set(seq.pulses):
-        a, b, label_a, label_b = pulse
-        tails[pulse] = "{}  {}  # |{}> <-> |{}>".format(a, b, kets[label_a], kets[label_b])
+        a, b = pulse
+        tails[pulse] = "{}  {}  # |{}> <-> |{}>".format(a, b, kets[a], kets[b])
     lines: list[str] = []
     end = 0
     for rno, size in enumerate(seq.rounds, 1):
@@ -807,8 +790,9 @@ def serialize_pulse_program(seq: PulseSequence) -> str:
 def parse_pulse_program(text: str, t: Topology, labeling: Labeling) -> PulseSequence:
     """Parse a pulse program back into a sequence.
 
-    Levels must form topology edges; label annotations are restored from
-    the labeling, not trusted from the comments.
+    Levels must form topology edges.  The sequence carries ``labeling``,
+    so which states each pulse exchanges comes from it, never from the
+    comments.
     """
     rounds_seen: list[int] = []
     pairs: list[tuple[int, int]] = []
@@ -821,13 +805,13 @@ def parse_pulse_program(text: str, t: Topology, labeling: Labeling) -> PulseSequ
         rounds_seen.append(int(parts[0]))
         pairs.append((int(parts[2]), int(parts[3])))
     if not pairs:
-        return PulseSequence(t.n_qubits, (), ())
+        return PulseSequence(labeling, (), ())
     if rounds_seen != sorted(rounds_seen) or rounds_seen[0] != 1:
         raise ValueError("round indices must be non-decreasing from 1")
     if any(b - a > 1 for a, b in zip(rounds_seen, rounds_seen[1:])):
         raise ValueError("round indices must be contiguous")
-    pulses = tuple(_pulses(t, labeling, pairs))
+    pulses = tuple(_pulses(t, pairs))
     sizes = [0] * rounds_seen[-1]
     for r in rounds_seen:
         sizes[r - 1] += 1
-    return PulseSequence(t.n_qubits, pulses, tuple(sizes))
+    return PulseSequence(labeling, pulses, tuple(sizes))

@@ -1,6 +1,6 @@
 import pytest
 
-from levelpulse import Pulse, PulseSequence, builtin_operation
+from levelpulse import Labeling, PulseSequence, builtin_operation
 
 # transcription of the reference 4-qubit adder truth table
 FULL_ADDER_DOC = """\
@@ -40,7 +40,14 @@ def full_adder():
     return builtin_operation("fulladder4")
 
 
-def one_per_round(n_qubits, pulses):
-    """A one-pulse-per-round sequence; a bare level pair is labelled by its levels."""
-    pulses = tuple(p if isinstance(p, Pulse) else Pulse(*p, *p) for p in pulses)
-    return PulseSequence(n_qubits, pulses, (1,) * len(pulses))
+def conventional(n_qubits):
+    """The conventional labeling of ``n_qubits``: level i carries label i."""
+    return Labeling(n_qubits, tuple(range(1 << n_qubits)))
+
+
+def one_per_round(labeling, pulses):
+    """A one-pulse-per-round sequence; a qubit count stands for its conventional labeling."""
+    if isinstance(labeling, int):
+        labeling = conventional(labeling)
+    pulses = tuple(pulses)
+    return PulseSequence(labeling, pulses, (1,) * len(pulses))

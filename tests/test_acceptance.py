@@ -17,6 +17,7 @@ import numpy as np
 
 from levelpulse import (
     Labeling,
+    LabelingScheme,
     Permutation,
     QUADRUPOLAR_CHAIN,
     SPIN_HALF_HYPERCUBE,
@@ -28,7 +29,6 @@ from levelpulse import (
     enumerate_ols_quadrupolar,
     equilibrium_populations,
     final_populations,
-    fixed_scheme,
     maximal_sets,
     min_pulse_count,
     ols_quadrupolar,
@@ -36,7 +36,6 @@ from levelpulse import (
     relabel_pairswap_spin_half,
     relabel_parallel_spin_half,
     schedule_rounds,
-    sequence_product,
     sequence_unitary,
     stick_spectrum,
     synthesize_fixed_labeling,
@@ -127,7 +126,7 @@ def test_criterion_2_gray_witness_and_reflected_images(full_adder):
     assert all((a ^ b).bit_count() == 1 for a, b in zip(witness, witness[1:]))
 
     def pulses(p, labels):
-        return len(synthesize_fixed_labeling(p, fixed_scheme(Labeling(4, labels)), t))
+        return len(synthesize_fixed_labeling(p, LabelingScheme(Labeling(4, labels)), t))
 
     gray = [k ^ (k >> 1) for k in range(16)]
     images = set()
@@ -160,12 +159,12 @@ def test_criterion_4_matrix_fixtures(full_adder):
     chain = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, chain)
     seq = synthesize_scheme(d, scheme, chain)
-    u = sequence_unitary(one_per_round(4, seq.pulses[:3]))
+    u = sequence_unitary(one_per_round(seq.labeling, seq.pulses[:3]))
     rows = [scheme.labeling.level_of(x) for x in (0b0100, 0b0101, 0b0110, 0b0111)]
     sub_chain = u[np.ix_(rows, rows)]
 
     cube = build_topology(SPIN_HALF_HYPERCUBE, 4)
-    cl = fixed_scheme(conventional_labeling(cube))
+    cl = LabelingScheme(conventional_labeling(cube))
     seq_cube = synthesize_fixed_labeling(full_adder, cl, cube)
     u_cube = sequence_unitary(one_per_round(4, seq_cube.pulses[:3]))
     sub_cube = u_cube[np.ix_([4, 5, 6, 7], [4, 5, 6, 7])]
@@ -191,23 +190,17 @@ def test_criterion_5_random_tables_compile_verify():
             scheme = ols_quadrupolar(d, chain)
             seq = synthesize_scheme(d, scheme, chain)
             ok = ok and len(seq) == floor
-            ok = ok and verify_permutation(
-                sequence_product(seq), p, scheme
-            ).passed
+            ok = ok and verify_permutation(seq, p).passed
 
             scheme = relabel_pairswap_spin_half(d, cube)
             seq = synthesize_scheme(d, scheme, cube)
             ok = ok and len(seq) == floor
-            ok = ok and verify_permutation(
-                sequence_product(seq), p, scheme
-            ).passed
+            ok = ok and verify_permutation(seq, p).passed
 
             for topo in (chain, cube):
-                cl = fixed_scheme(conventional_labeling(topo))
+                cl = LabelingScheme(conventional_labeling(topo))
                 seq = synthesize_fixed_labeling(p, cl, topo)
-                ok = ok and verify_permutation(
-                    sequence_product(seq), p, cl
-                ).passed
+                ok = ok and verify_permutation(seq, p).passed
             checked += 2
             if not ok:
                 break
@@ -232,7 +225,7 @@ def test_criterion_7_spectrum(full_adder):
     scheme = relabel_parallel_spin_half(maximal_sets(full_adder), cube)
     eq = equilibrium_populations(cube)
     eq_sticks = stick_spectrum(eq, cube)
-    fin = final_populations(eq, full_adder, scheme)
+    fin = final_populations(eq, full_adder, scheme.labeling)
     fin_sticks = stick_spectrum(fin, cube)
     before = {(s.spin, s.transition): s.intensity for s in eq_sticks}
     after = {(s.spin, s.transition): s.intensity for s in fin_sticks}
@@ -267,10 +260,10 @@ def test_criterion_8_brute_force_oracle():
     for kind in (QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE):
         t = build_topology(kind, 2)
         oracle = _oracle_shortest_lengths(t)
-        cl = fixed_scheme(conventional_labeling(t))
+        cl = LabelingScheme(conventional_labeling(t))
         for mapping in itertools.permutations(range(4)):
             p = Permutation(2, mapping)
             seq = synthesize_fixed_labeling(p, cl, t)
             ok = ok and len(seq) == oracle[mapping]
-            ok = ok and verify_permutation(sequence_product(seq), p, cl).passed
+            ok = ok and verify_permutation(seq, p).passed
     assert report("8 shortest-factorization oracle", ok)

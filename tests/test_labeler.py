@@ -24,7 +24,6 @@ from levelpulse import (
     relabel_parallel_spin_half,
     serialize_labeling,
     schedule_rounds,
-    sequence_product,
     synthesize_scheme,
     verify_permutation,
 )
@@ -228,7 +227,7 @@ def test_pairswap_chains_edge_connected_random():
             else:
                 # a dead end: every chain on a Gray segment in coxeter order
                 assert scheme.style == COXETER
-                assert [pulse.levels for pulse in seq.pulses] == coxeter_pulses(d, scheme, t)
+                assert list(seq.pulses) == coxeter_pulses(d, scheme, t)
                 assert len(schedule_rounds(seq).rounds) <= 2
             assert len(seq) == min_pulse_count(d)
     # the greedy descent embeds most of these tables and dead-ends on some
@@ -306,13 +305,13 @@ def test_hypercube_placement_random_tables(relabel, n, seed):
     seq = synthesize_scheme(d, scheme, t)
     assert len(seq) == min_pulse_count(d)
     scheduled = schedule_rounds(seq)
-    assert verify_permutation(sequence_product(scheduled), p, scheme).passed
+    assert verify_permutation(scheduled, p).passed
     if relabel is relabel_parallel_spin_half:
         assert scheme.style == COXETER
     if scheme.style == COXETER:
         # parallel, or a pairswap dead end: every chain on a transition path
         # in coxeter order, so two rounds at most
-        assert [pulse.levels for pulse in seq.pulses] == coxeter_pulses(d, scheme, t)
+        assert list(seq.pulses) == coxeter_pulses(d, scheme, t)
         assert len(scheduled.rounds) == max(min(len(mset) - 1, 2) for mset in d.sets)
     else:
         # every chain on a transition path in chain order, pulsed as a tree
@@ -325,7 +324,7 @@ def test_hypercube_placement_random_tables(relabel, n, seed):
             assert all(t.is_edge(u, v) for u, v in zip(levels, levels[1:]))
             start, end = end, end + len(mset) - 1
             assert all(
-                t.is_edge(*pulse.levels) and {*pulse.levels} <= {*levels}
+                t.is_edge(*pulse) and {*pulse} <= {*levels}
                 for pulse in seq.pulses[start:end]
             )
         assert len(scheduled.rounds) <= max(len(mset) - 1 for mset in d.sets)
@@ -374,7 +373,7 @@ def test_pairswap_coxeter_exactly_on_dead_ends(n, seed):
     assert scheme.style == (COXETER if dead_end else PATH)
     seq = schedule_rounds(synthesize_scheme(d, scheme, t))
     assert len(seq) == sum(len(mset) - 1 for mset in d.sets)
-    assert verify_permutation(sequence_product(seq), p, scheme).passed
+    assert verify_permutation(seq, p).passed
     if dead_end:
         # one round of disjoint swaps is an involution, so a set of three
         # or more states needs the second round
@@ -394,7 +393,7 @@ def test_pairswap_paper_tables_embed_greedily(full_adder, second, pulses, rounds
     assert scheme.style == PATH
     seq = schedule_rounds(synthesize_scheme(d, scheme, t))
     assert (len(seq), len(seq.rounds)) == (pulses, rounds)
-    assert verify_permutation(sequence_product(seq), p, scheme).passed
+    assert verify_permutation(seq, p).passed
 
 
 def test_parallel_dead_end_puts_4_cycles_on_gray_squares():

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from levelpulse import (
+    Labeling,
     Permutation,
-    Pulse,
     QUADRUPOLAR_CHAIN,
     SPIN_HALF_HYPERCUBE,
     build_topology,
     conventional_labeling,
     equilibrium_populations,
     final_populations,
-    fixed_scheme,
     maximal_sets,
     ols_quadrupolar,
     pulse_unitary,
     relabel_parallel_spin_half,
-    sequence_product,
     sequence_unitary,
     serialize_spectrum,
     stick_spectrum,
@@ -30,6 +28,8 @@ CYCLE4_MATRIX = np.array(
     [[0, 0, 1, 0], [0, 0, 0, 1], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=complex
 )
 
+CL2 = Labeling(2, (0, 1, 2, 3))
+
 
 def random_permutation(n_qubits, rng):
     m = list(range(1 << n_qubits))
@@ -38,7 +38,7 @@ def random_permutation(n_qubits, rng):
 
 
 def test_pulse_unitary_block():
-    u = pulse_unitary((1, 3), 4)
+    u = pulse_unitary((1, 3), CL2)
     expected = np.array(
         [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0]], dtype=complex
     )
@@ -46,7 +46,7 @@ def test_pulse_unitary_block():
 
 
 def test_pulse_unitary_other_block():
-    u = pulse_unitary((0, 2), 4)
+    u = pulse_unitary((0, 2), CL2)
     expected = np.array(
         [[0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
@@ -55,7 +55,7 @@ def test_pulse_unitary_other_block():
 
 def test_pulse_unitary_follows_label_order():
     # level 1 carries the lower label, so its row holds the +1
-    u = pulse_unitary(Pulse(0, 1, 0b11, 0b10), 4)
+    u = pulse_unitary((0, 1), Labeling(2, (0b11, 0b10, 0b00, 0b01)))
     expected = np.array(
         [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
     )
@@ -63,7 +63,7 @@ def test_pulse_unitary_follows_label_order():
 
 
 def test_pulse_unitary_square_is_two_pi():
-    u = pulse_unitary((1, 3), 4)
+    u = pulse_unitary((1, 3), CL2)
     sq = u @ u
     assert np.array_equal(sq, np.diag([1, -1, 1, -1]).astype(complex))
 
@@ -71,7 +71,7 @@ def test_pulse_unitary_square_is_two_pi():
 @pytest.mark.parametrize("pair", [(2, 2), (0, 4), (-1, 2)])
 def test_pulse_unitary_level_errors(pair):
     with pytest.raises(ValueError):
-        pulse_unitary(pair, 4)
+        pulse_unitary(pair, CL2)
 
 
 def test_sequence_unitary_empty_is_identity():
@@ -89,9 +89,9 @@ def test_sequence_unitary_reordered_bridge_product():
 
 
 def test_products_are_unitary_random():
-    # exact, against the left-to-right product of per-pulse matrices, for
-    # bare level pairs and for ols / parallel pulses whose label order
-    # runs against their level order
+    # exact, against the left-to-right product of per-pulse matrices, under
+    # the conventional labeling and under ols / parallel labelings whose
+    # label order runs against the level order of some pulses
     rng = random.Random(13)
     for kind, place in (
         (SPIN_HALF_HYPERCUBE, None),
@@ -99,24 +99,24 @@ def test_products_are_unitary_random():
         (SPIN_HALF_HYPERCUBE, relabel_parallel_spin_half),
     ):
         t = build_topology(kind, 3)
+        choices = list(t.edges)
         if place is None:
-            choices = list(t.edges)
+            lab = conventional_labeling(t)
         else:
             lab = place(maximal_sets(random_permutation(3, rng)), t).labeling
-            choices = [Pulse(a, b, lab.label_of(a), lab.label_of(b)) for a, b in t.edges]
-            assert any(pulse.label_a > pulse.label_b for pulse in choices)
+            assert any(lab.label_of(a) > lab.label_of(b) for a, b in choices)
         for _ in range(20):
             pulses = [choices[rng.randrange(len(choices))] for _ in range(10)]
-            u = sequence_unitary(one_per_round(3, pulses))
+            u = sequence_unitary(one_per_round(lab, pulses))
             reference = np.eye(8, dtype=complex)
             for pulse in pulses:
-                reference = reference @ pulse_unitary(pulse, 8)
+                reference = reference @ pulse_unitary(pulse, lab)
             assert np.array_equal(u, reference)
             assert np.array_equal(u @ u.conj().T, np.eye(8))
 
 
 @pytest.mark.parametrize(
-    "pair", [(2, 2), (0, 4), (-1, 2), Pulse(0, 0, 0, 0), Pulse(3, 4, 3, 4)]
+    "pair", [(2, 2), (0, 4), (-1, 2), (0, 0), (3, 4)]
 )
 def test_sequence_product_level_errors(pair):
     # sequence_product trusts its input: the PulseSequence constructor refuses these
@@ -125,42 +125,30 @@ def test_sequence_product_level_errors(pair):
 
 
 def test_verify_cycle_pass_with_phases():
-    t = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    scheme = fixed_scheme(conventional_labeling(t))
     p = Permutation(2, (2, 3, 1, 0))
-    product = sequence_product(one_per_round(2, [(1, 3), (1, 2), (0, 2)]))
-    verdict = verify_permutation(product, p, scheme)
+    verdict = verify_permutation(one_per_round(2, [(1, 3), (1, 2), (0, 2)]), p)
     assert verdict.passed
     assert verdict.realized == (2, 3, 1, 0)
     assert verdict.phases == (1 + 0j, 1 + 0j, -1 + 0j, 1 + 0j)
 
 
 def test_verify_identity():
-    t = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    scheme = fixed_scheme(conventional_labeling(t))
-    product = sequence_product(one_per_round(2, []))
-    verdict = verify_permutation(product, Permutation.identity(2), scheme)
+    verdict = verify_permutation(one_per_round(2, []), Permutation.identity(2))
     assert verdict.passed
     assert verdict.phases == (1 + 0j,) * 4
 
 
 def test_verify_wrong_permutation_fails():
-    t = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    scheme = fixed_scheme(conventional_labeling(t))
     three_cycle = Permutation(2, (1, 2, 0, 3))
-    product = sequence_product(one_per_round(2, [(0, 1)]))
-    verdict = verify_permutation(product, three_cycle, scheme)
+    verdict = verify_permutation(one_per_round(2, [(0, 1)]), three_cycle)
     assert not verdict.passed
     assert verdict.realized == (1, 0, 2, 3)
     assert verdict.problems
 
 
 def test_verify_dimension_mismatch():
-    t = build_topology(SPIN_HALF_HYPERCUBE, 2)
-    scheme = fixed_scheme(conventional_labeling(t))
-    product = sequence_product(one_per_round(3, []))
     with pytest.raises(ValueError, match="dimension"):
-        verify_permutation(product, Permutation.identity(2), scheme)
+        verify_permutation(one_per_round(3, []), Permutation.identity(2))
 
 
 def test_equilibrium_hypercube_populations():
@@ -182,20 +170,19 @@ def test_equilibrium_chain_two_qubits():
 
 def test_final_populations_identity():
     t = build_topology(SPIN_HALF_HYPERCUBE, 4)
-    scheme = fixed_scheme(conventional_labeling(t))
     eq = equilibrium_populations(t)
-    fin = final_populations(eq, Permutation.identity(4), scheme)
+    fin = final_populations(eq, Permutation.identity(4), conventional_labeling(t))
     assert np.array_equal(fin, eq)
 
 
 def test_final_populations_preserve_multiset_random():
     rng = random.Random(4)
     t = build_topology(SPIN_HALF_HYPERCUBE, 3)
-    scheme = fixed_scheme(conventional_labeling(t))
+    labeling = conventional_labeling(t)
     eq = equilibrium_populations(t)
     for _ in range(30):
         p = random_permutation(3, rng)
-        fin = final_populations(eq, p, scheme)
+        fin = final_populations(eq, p, labeling)
         assert sorted(fin) == sorted(eq)
         assert sum(fin) == 0
 
@@ -204,7 +191,7 @@ def test_adder_parallel_labeling_drops_one_transition(full_adder):
     t = build_topology(SPIN_HALF_HYPERCUBE, 4)
     scheme = relabel_parallel_spin_half(maximal_sets(full_adder), t)
     eq = equilibrium_populations(t)
-    fin = final_populations(eq, full_adder, scheme)
+    fin = final_populations(eq, full_adder, scheme.labeling)
     before = {(s.spin, s.transition): s.intensity for s in stick_spectrum(eq, t)}
     after = {(s.spin, s.transition): s.intensity for s in stick_spectrum(fin, t)}
     assert set(after.values()) <= {-2, -1, 0, 1, 2}

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from levelpulse import (
     Labeling,
     Permutation,
-    Pulse,
     PulseSequence,
     QUADRUPOLAR_CHAIN,
     SPIN_HALF_HYPERCUBE,
@@ -20,7 +19,6 @@ from levelpulse import (
     builtin_operation,
     compose,
     conventional_labeling,
-    fixed_scheme,
     gray_labeling,
     maximal_sets,
     ols_quadrupolar,
@@ -52,7 +50,7 @@ from levelpulse.synthesizer import (
     _tree_tables,
 )
 
-from conftest import one_per_round
+from conftest import conventional, one_per_round
 
 # product operator of the three pulses cycling a 4-state chain, written in
 # ascending label order of the subspace
@@ -88,16 +86,16 @@ def test_on_path_emits_reverse_chain_order(full_adder):
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
     mset = d.sets[4]
-    pulses = synthesize_on_path(mset, chain_levels(scheme, mset), t, scheme.labeling)
-    assert [p.levels for p in pulses] == [(2, 3), (1, 2), (0, 1)]
+    pulses = synthesize_on_path(mset, chain_levels(scheme, mset), t)
+    assert pulses == [(2, 3), (1, 2), (0, 1)]
 
 
 def test_on_path_product_matches_cycle_matrix(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[4], chain_levels(scheme, d.sets[4]), t, scheme.labeling)
-    u = sequence_unitary(one_per_round(4, pulses))
+    pulses = synthesize_on_path(d.sets[4], chain_levels(scheme, d.sets[4]), t)
+    u = sequence_unitary(one_per_round(scheme.labeling, pulses))
     sub = label_subspace(u, scheme.labeling, [0b0100, 0b0101, 0b0110, 0b0111])
     assert np.array_equal(sub, CYCLE4_MATRIX)
 
@@ -106,7 +104,7 @@ def test_on_path_two_element_set(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[6], chain_levels(scheme, d.sets[6]), t, scheme.labeling)
+    pulses = synthesize_on_path(d.sets[6], chain_levels(scheme, d.sets[6]), t)
     assert len(pulses) == 1
 
 
@@ -115,8 +113,8 @@ def test_on_path_second_cycle_population_action(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[5], chain_levels(scheme, d.sets[5]), t, scheme.labeling)
-    u = sequence_unitary(one_per_round(4, pulses))
+    pulses = synthesize_on_path(d.sets[5], chain_levels(scheme, d.sets[5]), t)
+    u = sequence_unitary(one_per_round(scheme.labeling, pulses))
     lab = scheme.labeling
     for src, dst in [(0b1000, 0b1010), (0b1010, 0b1001), (0b1001, 0b1011), (0b1011, 0b1000)]:
         row = lab.level_of(src)
@@ -127,11 +125,10 @@ def test_on_path_second_cycle_population_action(full_adder):
 def test_on_path_rejects_non_path(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
-    scheme = ols_quadrupolar(d, t)
     with pytest.raises(ValueError, match="single-quantum transition"):
-        synthesize_on_path(d.sets[4], (0, 2, 4, 6), t, scheme.labeling)
+        synthesize_on_path(d.sets[4], (0, 2, 4, 6), t)
     with pytest.raises(ValueError, match="length"):
-        synthesize_on_path(d.sets[4], (0, 1, 2), t, scheme.labeling)
+        synthesize_on_path(d.sets[4], (0, 1, 2), t)
 
 
 @pytest.mark.parametrize(
@@ -155,8 +152,8 @@ def test_hypercube_path_scheme_rejects_chain_without_tree(mapping):
 
 def test_fixed_labeling_chain_counts(full_adder):
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
-    cl = fixed_scheme(conventional_labeling(t))
-    gray = fixed_scheme(gray_labeling(t))
+    cl = LabelingScheme(conventional_labeling(t))
+    gray = LabelingScheme(gray_labeling(t))
     assert len(synthesize_fixed_labeling(full_adder, cl, t)) == 12
     assert len(synthesize_fixed_labeling(full_adder, gray, t)) == 12
     q = compose(full_adder, builtin_operation("swap:2,4", 4))
@@ -166,13 +163,13 @@ def test_fixed_labeling_chain_counts(full_adder):
 
 def test_fixed_labeling_hypercube_adder(full_adder):
     t = build_topology(SPIN_HALF_HYPERCUBE, 4)
-    cl = fixed_scheme(conventional_labeling(t))
+    cl = LabelingScheme(conventional_labeling(t))
     seq = synthesize_fixed_labeling(full_adder, cl, t)
     assert len(seq) == 8
     # first cycle is realized by the outer pulses then the bridging one
-    first = [p.levels for p in seq.pulses[:3]]
+    first = seq.pulses[:3]
     assert sorted(first) == [(4, 5), (4, 6), (5, 7)]
-    u = sequence_unitary(one_per_round(4, seq.pulses[:3]))
+    u = sequence_unitary(one_per_round(seq.labeling, first))
     sub = label_subspace(u, cl.labeling, [0b0100, 0b0101, 0b0110, 0b0111])
     assert np.array_equal(sub, CYCLE4_MATRIX)
 
@@ -181,15 +178,14 @@ def test_reordered_factorization_same_operator():
     # on the square, the chain product equals the reordered bridge product
     t = build_topology(SPIN_HALF_HYPERCUBE, 2)
     lab = conventional_labeling(t)
-    scheme = fixed_scheme(lab)
     chain_track = [(1, 3), (1, 2), (0, 2)]
-    u_chain = sequence_unitary(one_per_round(2, chain_track))
+    u_chain = sequence_unitary(one_per_round(lab, chain_track))
     reordered = [(1, 3), (0, 2), (0, 1)]
-    u_re = sequence_unitary(one_per_round(2, reordered))
+    u_re = sequence_unitary(one_per_round(lab, reordered))
     assert np.array_equal(u_chain, u_re)
     assert np.array_equal(u_re, CYCLE4_MATRIX)
     p = Permutation(2, (2, 3, 1, 0))
-    assert verify_permutation(sequence_product(one_per_round(2, reordered)), p, scheme).passed
+    assert verify_permutation(one_per_round(lab, reordered), p).passed
 
 
 def test_chain_fixed_labeling_length_is_inversion_count():
@@ -198,7 +194,7 @@ def test_chain_fixed_labeling_length_is_inversion_count():
     for n in (2, 3, 4):
         t = build_topology(QUADRUPOLAR_CHAIN, n)
         for labeling in (conventional_labeling(t), gray_labeling(t)):
-            scheme = fixed_scheme(labeling)
+            scheme = LabelingScheme(labeling)
             for _ in range(20):
                 p = random_permutation(n, rng)
                 sigma = [
@@ -220,13 +216,13 @@ def test_fixed_labeling_verifies_random_tables():
     for n in (2, 3):
         for kind in (QUADRUPOLAR_CHAIN, SPIN_HALF_HYPERCUBE):
             t = build_topology(kind, n)
-            scheme = fixed_scheme(conventional_labeling(t))
+            scheme = LabelingScheme(conventional_labeling(t))
             for _ in range(40):
                 p = random_permutation(n, rng)
                 seq = synthesize_fixed_labeling(p, scheme, t)
                 for pulse in seq.pulses:
-                    assert t.is_edge(*pulse.levels)
-                assert verify_permutation(sequence_product(seq), p, scheme).passed
+                    assert t.is_edge(*pulse)
+                assert verify_permutation(seq, p).passed
 
 
 def test_fixed_labeling_antipodal_swap_uncapped():
@@ -236,18 +232,18 @@ def test_fixed_labeling_antipodal_swap_uncapped():
     mapping[0], mapping[15] = 15, 0
     p = Permutation(4, tuple(mapping))
     t = build_topology(SPIN_HALF_HYPERCUBE, 4)
-    scheme = fixed_scheme(conventional_labeling(t))
+    scheme = LabelingScheme(conventional_labeling(t))
     seq = synthesize_fixed_labeling(p, scheme, t)
     assert len(seq) == 7
-    assert verify_permutation(sequence_product(seq), p, scheme).passed
+    assert verify_permutation(seq, p).passed
 
 
 def test_schedule_single_pulse(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[6], chain_levels(scheme, d.sets[6]), t, scheme.labeling)
-    single = schedule_rounds(PulseSequence(4, tuple(pulses), (1,) * len(pulses)))
+    pulses = synthesize_on_path(d.sets[6], chain_levels(scheme, d.sets[6]), t)
+    single = schedule_rounds(PulseSequence(scheme.labeling, tuple(pulses), (1,) * len(pulses)))
     assert single.rounds == (1,)
 
 
@@ -255,8 +251,8 @@ def test_schedule_chain_triple_needs_three_rounds(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[4], chain_levels(scheme, d.sets[4]), t, scheme.labeling)
-    seq = PulseSequence(4, tuple(pulses), (1,) * 3)
+    pulses = synthesize_on_path(d.sets[4], chain_levels(scheme, d.sets[4]), t)
+    seq = PulseSequence(scheme.labeling, tuple(pulses), (1,) * 3)
     assert schedule_rounds(seq).rounds == (1, 1, 1)
 
 
@@ -281,8 +277,7 @@ def test_schedule_preserves_operator_random():
             seq = synthesize_scheme(d, scheme, t)
             scheduled = schedule_rounds(seq)
             assert np.array_equal(sequence_unitary(seq), sequence_unitary(scheduled))
-            flat_levels = sorted(p.levels for p in scheduled.pulses)
-            assert flat_levels == sorted(p.levels for p in seq.pulses)
+            assert sorted(scheduled.pulses) == sorted(seq.pulses)
 
 
 def test_report_adder_chain(full_adder):
@@ -342,7 +337,7 @@ def test_pairswap_baseline_n10_table():
     assert scheme == relabel_parallel_spin_half(d, t)
     seq = schedule_rounds(synthesize_scheme(d, scheme, t))
     assert (len(seq), len(seq.rounds)) == (1017, 2)
-    assert verify_permutation(sequence_product(seq), p, scheme).passed
+    assert verify_permutation(seq, p).passed
 
 
 def test_pulse_program_round_trip(full_adder):
@@ -392,31 +387,31 @@ def test_pulse_program_parse_errors(text):
 def test_pulse_sequence_rejects_rounds_below_one(rounds):
     # both sum to the pulse count: (3, -1) would serialize as round 1 twice
     # and (0, 1) as a lone round 2, which the parser rejects
-    pulses = (Pulse(0, 1, 0, 1), Pulse(2, 3, 2, 3))[: sum(rounds)]
+    pulses = ((0, 1), (2, 3))[: sum(rounds)]
     with pytest.raises(ValueError, match="round sizes must be at least 1"):
-        PulseSequence(2, pulses, rounds)
+        PulseSequence(conventional(2), pulses, rounds)
 
 
 @pytest.mark.parametrize(
     "pulses",
     [
         # level -1 would alias level 3 in the scheduler's per-level record
-        (Pulse(2, 3, 2, 3), Pulse(-1, 0, 0, 1)),
-        (Pulse(3, 4, 3, 0),),
+        ((2, 3), (-1, 0)),
+        ((3, 4),),
     ],
 )
 def test_pulse_sequence_rejects_levels_out_of_range(pulses):
     with pytest.raises(ValueError, match=re.escape("pulse levels must lie in [0, 4)")):
-        schedule_rounds(PulseSequence(2, pulses, (1,) * len(pulses)))
+        schedule_rounds(PulseSequence(conventional(2), pulses, (1,) * len(pulses)))
 
 
 # each refusal with its message at N = 3; with both faults in one sequence
 # the shared-level refusal still wins, as in a scheduled sequence's loop
 PULSE_SEQUENCE_ERRORS = [
-    ((Pulse(5, 5, 5, 5),), "pulses within a round must not share a level"),
-    ((Pulse(-1, 0, 0, 1),), "pulse levels must lie in [0, 8)"),
-    ((Pulse(7, 8, 7, 0),), "pulse levels must lie in [0, 8)"),
-    ((Pulse(7, 8, 7, 0), Pulse(5, 5, 5, 5)), "pulses within a round must not share a level"),
+    (((5, 5),), "pulses within a round must not share a level"),
+    (((-1, 0),), "pulse levels must lie in [0, 8)"),
+    (((7, 8),), "pulse levels must lie in [0, 8)"),
+    (((7, 8), (5, 5)), "pulses within a round must not share a level"),
 ]
 
 
@@ -428,10 +423,10 @@ def test_pulse_sequence_refusals_in_both_round_shapes(pulses, message, scheduled
     rounds = (1,) * len(pulses)
     if scheduled:
         # a valid pulse shares the first round with the first faulty one
-        pulses = (Pulse(1, 2, 1, 2),) + pulses
+        pulses = ((1, 2),) + pulses
         rounds = (2,) + rounds[1:]
     with pytest.raises(ValueError, match=re.escape(message)):
-        PulseSequence(3, pulses, rounds)
+        PulseSequence(conventional(3), pulses, rounds)
 
 
 @pytest.mark.parametrize(
@@ -445,7 +440,7 @@ def test_pulse_sequence_refusals_in_both_round_shapes(pulses, message, scheduled
 def test_fixed_labeling_builds_each_transition_once(kind, labeling):
     t = build_topology(kind, 6)
     p = random_permutation(6, random.Random(12))
-    seq = synthesize_fixed_labeling(p, fixed_scheme(labeling(t)), t)
+    seq = synthesize_fixed_labeling(p, LabelingScheme(labeling(t)), t)
     assert len(seq) > len(set(seq.pulses))  # transitions recur
     assert len({id(pulse) for pulse in seq.pulses}) == len(set(seq.pulses))
 
@@ -453,11 +448,12 @@ def test_fixed_labeling_builds_each_transition_once(kind, labeling):
 def reference_program(seq):
     # the program text with every line formatted on its own
     rnos = [rno for rno, size in enumerate(seq.rounds, 1) for _ in range(size)]
+    label = seq.labeling.label_of
     return "\n".join(
         "{}  pi_y  {}  {}  # |{:0{n}b}> <-> |{:0{n}b}>".format(
-            rno, a, b, label_a, label_b, n=seq.n_qubits
+            rno, a, b, label(a), label(b), n=seq.n_qubits
         )
-        for rno, (a, b, label_a, label_b) in zip(rnos, seq.pulses)
+        for rno, (a, b) in zip(rnos, seq.pulses)
     )
 
 
@@ -469,16 +465,17 @@ def _labeled_programs(draw):
     n = draw(st.integers(1, 8))
     t = build_topology(kind, n)
     labeling = Labeling(n, tuple(draw(st.permutations(range(1 << n)))))
-    pool = [
-        Pulse(a, b, labeling.label_of(a), labeling.label_of(b))
-        for a, b in draw(st.lists(st.sampled_from(t.edges), min_size=1, max_size=6))
-    ]
+    pool = draw(st.lists(st.sampled_from(t.edges), min_size=1, max_size=6))
     pulses = draw(st.lists(st.sampled_from(pool), max_size=60))
-    seq = PulseSequence(n, tuple(pulses), (1,) * len(pulses))
+    seq = PulseSequence(labeling, tuple(pulses), (1,) * len(pulses))
     return t, labeling, schedule_rounds(seq) if draw(st.booleans()) else seq
 
 
-EMPTY_PROGRAM = (build_topology(QUADRUPOLAR_CHAIN, 1), Labeling(1, (0, 1)), PulseSequence(1, (), ()))
+EMPTY_PROGRAM = (
+    build_topology(QUADRUPOLAR_CHAIN, 1),
+    conventional(1),
+    PulseSequence(conventional(1), (), ()),
+)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -519,7 +516,7 @@ def naive_schedule(seq):
     for i, pulse in enumerate(seq.pulses):
         r = 0
         for j in range(i):
-            if set(pulse.levels) & set(seq.pulses[j].levels):
+            if set(pulse) & set(seq.pulses[j]):
                 r = max(r, rnum[j])
         rnum.append(r + 1)
     order = sorted(range(len(rnum)), key=lambda i: (rnum[i], i))
@@ -530,7 +527,7 @@ def naive_schedule(seq):
 def test_schedule_matches_pairwise_reference_chain_random():
     rng = random.Random(5)
     t = build_topology(QUADRUPOLAR_CHAIN, 5)
-    scheme = fixed_scheme(conventional_labeling(t))
+    scheme = LabelingScheme(conventional_labeling(t))
     for _ in range(5):
         seq = synthesize_fixed_labeling(random_permutation(5, rng), scheme, t)
         scheduled = schedule_rounds(seq)
@@ -618,8 +615,9 @@ def test_exact_cycle_tree_is_shallowest_read_out():
         if got is None:
             continue
         assert_factors_cycle(got, cyc, t)
+        k = len(cyc)
         depths = [
-            max(_round_numbers(_read_tree(tables, high_m, high_x)[0], len(cyc)), default=0)
+            max(_round_numbers(_read_tree(tables, high_m, high_x, k)[0], k), default=0)
             for high_m in (True, False)
             for high_x in (True, False)
         ]
@@ -688,7 +686,7 @@ def test_path_tables_and_capped_read_outs_match_references(case):
     for high_m, high_x in ((True, True), (False, False), (True, False), (False, True)):
         tree = reference_read_tree(tables, high_m, high_x)
         rounds = max(_round_numbers(tree, k), default=0)
-        assert _read_tree(tables, high_m, high_x) == (tree, rounds)
+        assert _read_tree(tables, high_m, high_x, k) == (tree, rounds)
         for cap in {1, max(rounds, 1), rounds + 1, k}:
             got = _read_tree(tables, high_m, high_x, cap)
             assert got == ((tree, rounds) if rounds < cap else None)
@@ -726,7 +724,7 @@ def test_tree_test_small_cases():
 
 def test_detour_routes_adder_swap_cycle(full_adder):
     t = build_topology(SPIN_HALF_HYPERCUBE, 4)
-    scheme = fixed_scheme(conventional_labeling(t))
+    scheme = LabelingScheme(conventional_labeling(t))
     q = compose(full_adder, builtin_operation("swap:2,4", 4))
     cyc = (1, 4, 3, 6, 5, 7)
     assert cyc in cycles(scheme.labeling.induced(q))
@@ -774,11 +772,11 @@ def _fixed_scheme_tables(max_n):
 @example(p=_edge_product(10, [(lv * 37, lv % 10) for lv in range(600)]))
 def test_hypercube_cl_random_tables(p):
     t = build_topology(SPIN_HALF_HYPERCUBE, p.n_qubits)
-    scheme = fixed_scheme(conventional_labeling(t))
+    scheme = LabelingScheme(conventional_labeling(t))
     seq = synthesize_fixed_labeling(p, scheme, t)
     scheduled = schedule_rounds(seq)
-    assert all(t.is_edge(*pulse.levels) for pulse in seq.pulses)
-    assert verify_permutation(sequence_product(scheduled), p, scheme).passed
+    assert all(t.is_edge(*pulse) for pulse in seq.pulses)
+    assert verify_permutation(scheduled, p).passed
     orbits = cycles(p.mapping)
     exact = [_exact_cycle_pulses(orbit, t) for orbit in orbits]
     bound, farthest = _hypercube_bounds(p.mapping, orbits, exact)
@@ -804,12 +802,11 @@ def test_each_hypercube_candidate_realizes_sigma(n, seed):
     # differ on these tables
     t = build_topology(SPIN_HALF_HYPERCUBE, n)
     p = random_permutation(n, random.Random(seed))
-    scheme = fixed_scheme(conventional_labeling(t))
     candidates = list(_hypercube_candidates(p.mapping, t))
     assert len(set(map(tuple, candidates))) == len(candidates) == 8
     for pulses in candidates:
         assert all(a < b and t.is_edge(a, b) for a, b in pulses)
-        assert verify_permutation(sequence_product(one_per_round(n, pulses)), p, scheme).passed
+        assert verify_permutation(one_per_round(n, pulses), p).passed
     orbits = cycles(p.mapping)
     exact = [_exact_cycle_pulses(orbit, t) for orbit in orbits]
     own = _hypercube_pulses(p.mapping, orbits, exact, candidates[0], t)
@@ -837,7 +834,7 @@ def test_all_exact_tables_keep_shallowest_trees():
             continue
         first = [
             (orbit[l], orbit[m]) for orbit, got in zip(orbits, tables)
-            for l, m in _read_tree(got, True, True)[0]
+            for l, m in _read_tree(got, True, True, len(orbit))[0]
         ]
         routed = _hypercube_program(sigma, t)
         assert len(routed) == len(first) == 8 - len(orbits)
@@ -923,10 +920,10 @@ def test_route_tokens_random_tables(p):
 @given(p=_fixed_scheme_tables(7))
 def test_chain_fixed_random_tables(labeling, p):
     t = build_topology(QUADRUPOLAR_CHAIN, p.n_qubits)
-    scheme = fixed_scheme(labeling(t))
+    scheme = LabelingScheme(labeling(t))
     seq = synthesize_fixed_labeling(p, scheme, t)
-    assert all(t.is_edge(*pulse.levels) for pulse in seq.pulses)
-    assert verify_permutation(sequence_product(schedule_rounds(seq)), p, scheme).passed
+    assert all(t.is_edge(*pulse) for pulse in seq.pulses)
+    assert verify_permutation(schedule_rounds(seq), p).passed
     sigma = scheme.labeling.induced(p)
     inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
     assert len(seq) == inversions
@@ -939,10 +936,10 @@ def test_chain_odd_even_rounds_random_tables(labeling, p):
     # a population moving k levels needs k rounds; odd-even transposition
     # sort needs at most 2^N phases and each phase fits in one round
     t = build_topology(QUADRUPOLAR_CHAIN, p.n_qubits)
-    scheme = fixed_scheme(labeling(t))
+    scheme = LabelingScheme(labeling(t))
     scheduled = schedule_rounds(synthesize_fixed_labeling(p, scheme, t))
-    assert all(t.is_edge(*pulse.levels) for pulse in scheduled.pulses)
-    assert verify_permutation(sequence_product(scheduled), p, scheme).passed
+    assert all(t.is_edge(*pulse) for pulse in scheduled.pulses)
+    assert verify_permutation(scheduled, p).passed
     sigma = scheme.labeling.induced(p)
     assert len(scheduled) == sum(a > b for a, b in itertools.combinations(sigma, 2))
     displacement = max(abs(dst - src) for src, dst in enumerate(sigma))
@@ -953,7 +950,7 @@ def test_chain_rounds_can_exceed_displacement_plus_one():
     t = build_topology(QUADRUPOLAR_CHAIN, 3)
     p = Permutation(3, (0, 5, 6, 7, 2, 1, 3, 4))
     scheduled = schedule_rounds(
-        synthesize_fixed_labeling(p, fixed_scheme(conventional_labeling(t)), t)
+        synthesize_fixed_labeling(p, LabelingScheme(conventional_labeling(t)), t)
     )
     assert (len(scheduled), len(scheduled.rounds)) == (13, 7)
     assert max(abs(p(lv) - lv) for lv in range(p.size)) == 4
