@@ -49,7 +49,6 @@ from .synthesizer import (
     serialize_pulse_program,
     synthesize_fixed_labeling,
     synthesize_named,
-    synthesize_on_path,
     synthesize_scheme,
 )
 from .simulator import (

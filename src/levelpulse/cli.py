@@ -112,12 +112,10 @@ def _resolve_operations(args: argparse.Namespace) -> tuple[Permutation, str, Top
     return combined, "+".join(args.operations), t
 
 
-def _default_labeling(args: argparse.Namespace) -> str:
-    return args.labeling or synthesizer.SCHEMES[args.topology][0]
-
-
-def _check_scheme(args: argparse.Namespace, name: str) -> None:
+def _scheme_name(args: argparse.Namespace) -> str:
+    """The requested labeling scheme, else the topology's default, if valid there."""
     allowed = synthesizer.SCHEMES[args.topology]
+    name = args.labeling or allowed[0]
     if name not in allowed:
         raise CliError(
             "labeling {!r} is not valid for {} (choose from {})".format(
@@ -125,6 +123,7 @@ def _check_scheme(args: argparse.Namespace, name: str) -> None:
             ),
             EXIT_FORMAT,
         )
+    return name
 
 
 def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> None:
@@ -138,8 +137,7 @@ def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> None:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     p, op_name, t = _resolve_operations(args)
-    name = _default_labeling(args)
-    _check_scheme(args, name)
+    name = _scheme_name(args)
     d = maximal_sets(p)
     scheme, seq = synthesizer.synthesize_named(name, p, d, t)
     scheduled = synthesizer.schedule_rounds(seq)
@@ -215,8 +213,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     p, op_name, t = _resolve_operations(args)
-    name = _default_labeling(args)
-    _check_scheme(args, name)
+    name = _scheme_name(args)
     scheme = synthesizer.scheme_for(name, maximal_sets(p), t)
     eq = simulator.equilibrium_populations(t)
     fin = simulator.final_populations(eq, p, scheme.labeling)

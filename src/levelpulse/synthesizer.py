@@ -32,15 +32,16 @@ of its transition; which states it exchanges follows from the
 sequence's one labeling.  Routed, placed and parsed pulses all come
 from ``_pulses``, one shared pair per transition.  A routed program
 repeats each of its transitions many times, so each transition is
-built, checked and formatted once: an unscheduled sequence validates
-each distinct pulse once, and the program text formats each distinct
-pulse, and each round number, once.
+built, checked and formatted once: a sequence validates each distinct
+pulse once, and the program text formats each distinct pulse, and each
+round number, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import xor
+from itertools import accumulate, chain
+from operator import eq, gt, xor
 from typing import Iterator, Sequence
 
 from .labeler import (
@@ -51,7 +52,6 @@ from .labeler import (
     relabel_parallel_spin_half,
 )
 from .permutation import (
-    MaximalSet,
     MaximalSetDecomposition,
     Permutation,
     bit_string,
@@ -71,7 +71,6 @@ from .topology import (
 
 __all__ = [
     "PulseSequence",
-    "synthesize_on_path",
     "synthesize_scheme",
     "synthesize_fixed_labeling",
     "synthesize_named",
@@ -93,7 +92,9 @@ class PulseSequence:
     ``rounds`` holds the round sizes; flattening the rounds in order
     reproduces the pulse list, every round holds at least one pulse and
     every pulsed level lies in [0, 2^N).  Unscheduled sequences have one
-    pulse per round.
+    pulse per round.  Whatever the round shape, the checks run in this
+    order: the partition, then levels shared within a round (a == b, or
+    two pulses of one round), then the pair order, then the level range.
     """
 
     labeling: Labeling
@@ -105,28 +106,28 @@ class PulseSequence:
         return self.labeling.n_qubits
 
     def __post_init__(self) -> None:
-        if len(self.rounds) == len(self.pulses) == self.rounds.count(1):
-            # one pulse per round: only a == b can clash, so a pulse that
-            # recurs (a long routed program) is checked once
-            distinct = set(self.pulses)
-            if any(a == b for a, b in distinct):
-                raise ValueError("pulses within a round must not share a level")
-            levels = {lv for pulse in distinct for lv in pulse}
-        else:
-            if min(self.rounds, default=1) < 1:
-                raise ValueError("round sizes must be at least 1")
-            if sum(self.rounds) != len(self.pulses):
-                raise ValueError("round sizes must partition the pulse list")
-            round_of: dict[int, int] = {}  # level -> latest round pulsing it
-            end = 0
-            for rno, size in enumerate(self.rounds):
-                start, end = end, end + size
-                for a, b in self.pulses[start:end]:
-                    if a == b or round_of.get(a) == rno or round_of.get(b) == rno:
-                        raise ValueError("pulses within a round must not share a level")
-                    round_of[a] = round_of[b] = rno
-            levels = round_of.keys()
-        if levels and (min(levels) < 0 or max(levels) >= 1 << self.n_qubits):
+        if min(self.rounds, default=1) < 1:
+            raise ValueError("round sizes must be at least 1")
+        if sum(self.rounds) != len(self.pulses):
+            raise ValueError("round sizes must partition the pulse list")
+        # a routed program repeats its transitions, so each distinct pulse
+        # is checked once; two pulses share a level only in a round of two
+        # or more, and there is one only when rounds are fewer than pulses
+        distinct = set(self.pulses)
+        lows, highs = zip(*distinct) if distinct else ((), ())
+        if any(map(eq, lows, highs)) or (
+            len(self.rounds) < len(self.pulses)
+            and any(
+                len(set(chain.from_iterable(self.pulses[end - size : end]))) < 2 * size
+                for end, size in zip(accumulate(self.rounds), self.rounds)
+                if size > 1
+            )
+        ):
+            raise ValueError("pulses within a round must not share a level")
+        if any(map(gt, lows, highs)):
+            raise ValueError("pulses must list the lower level first")
+        # with every pair ordered, the lowest level is a low end, the highest a high end
+        if min(lows, default=0) < 0 or max(highs, default=0) >= 1 << self.n_qubits:
             raise ValueError("pulse levels must lie in [0, {})".format(1 << self.n_qubits))
 
     def __len__(self) -> int:
@@ -155,39 +156,24 @@ def _pulses(t: Topology, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, in
     return list(map(made.__getitem__, pairs))
 
 
-def synthesize_on_path(
-    mset: MaximalSet, levels: tuple[int, ...], t: Topology
-) -> list[tuple[int, int]]:
-    """Pulses realizing one chain placed on a transition path.
-
-    The L - 1 pulses are emitted in reverse chain order: the pulse on
-    the last level pair comes first.  Their product realizes the cyclic
-    transformation of the set up to diagonal phases.
-    """
-    if len(mset) < 2:
-        return []
-    if len(levels) != len(mset):
-        raise ValueError("placement length does not match set size")
-    pairs = [(levels[i], levels[i + 1]) for i in range(len(levels) - 2, -1, -1)]
-    return _pulses(t, pairs)
-
-
 def synthesize_scheme(
     d: MaximalSetDecomposition, scheme: LabelingScheme, t: Topology
 ) -> PulseSequence:
     """The pulse sequence for a placement scheme.
 
     Each chain s_0 ... s_(L-1) lies on the levels its labels carry.  On
-    the quadrupolar chain a ``PATH`` chain goes through
-    ``synthesize_on_path``.  On the hypercube a ``PATH`` chain is pulsed
-    as the shallowest tree ``_exact_cycle_pulses`` reads off its levels:
-    its path is one such tree, so the DP always succeeds, and the set
-    takes at most the path's L - 1 rounds.  A ``COXETER`` chain is
-    pulsed as two reflections of its order: the pairs (s_i, s_(L-1-i))
-    for i < L // 2, then (s_i, s_(L-i)) for 1 <= i < (L + 1) // 2, each
-    reflection one round of disjoint pulses.  Sets are synthesized
-    independently and merged in canonical set order; the sequence length
-    is exactly the sum of (|S_i| - 1).
+    the quadrupolar chain a ``PATH`` chain is pulsed along its path in
+    reverse chain order, the pulse on the last level pair first; the
+    product realizes the set's cycle up to diagonal phases.  On the
+    hypercube a ``PATH`` chain is pulsed as the shallowest tree
+    ``_exact_cycle_pulses`` reads off its levels: its path is one such
+    tree, so the DP always succeeds, and the set takes at most the path's
+    L - 1 rounds.  A ``COXETER`` chain is pulsed as two reflections of
+    its order: the pairs (s_i, s_(L-1-i)) for i < L // 2, then
+    (s_i, s_(L-i)) for 1 <= i < (L + 1) // 2, each reflection one round
+    of disjoint pulses.  Sets are synthesized independently and merged in
+    canonical set order; the sequence length is exactly the sum of
+    (|S_i| - 1).
     """
     if scheme.style is None:
         raise ValueError("scheme has no placement style; use synthesize_fixed_labeling")
@@ -202,7 +188,8 @@ def synthesize_scheme(
             pairs += [(i, size - i) for i in range(1, (size + 1) // 2)]
             pulses.extend(_pulses(t, [(levels[i], levels[j]) for i, j in pairs]))
         elif t.kind == QUADRUPOLAR_CHAIN:
-            pulses.extend(synthesize_on_path(mset, levels, t))
+            pairs = [(levels[i], levels[i + 1]) for i in range(len(levels) - 2, -1, -1)]
+            pulses.extend(_pulses(t, pairs))
         else:
             tree = _exact_cycle_pulses(levels, t)
             if tree is None:
@@ -288,34 +275,24 @@ def _tree_tables(cycle: tuple[int, ...], t: Topology) -> tuple[list[int], ...] |
 
 
 def _read_tree(
-    tables: tuple[list[int], ...], high_m: bool, high_x: bool, cap: int
-) -> tuple[list[tuple[int, int]], int] | None:
-    """One tree of the DP tables as position pairs (l, m), l < m, and its rounds.
+    tables: tuple[list[int], ...], high_m: bool, high_x: bool
+) -> list[tuple[int, int]]:
+    """One tree of the DP tables as position pairs (l, m), l < m, in pulse order.
 
     N[l][r] emits N[m][r], N[l][x], the pulse (l, m), then N[x+1][m],
     for the highest or lowest valid m (a set bit of chords[l] & col[r])
     and the highest or lowest valid x (a set bit of row[l] & col[m] >> 1).
-    Pulses come in pulse order, each numbered with the round
-    ``_round_numbers`` gives it; the tree's rounds are the highest number.
-    Returns None, abandoning the read-out, once a pulse's round reaches
-    ``cap``.
     """
     row, col, chords = tables
     k = len(row)
     out: list[tuple[int, int]] = []
-    last = [0] * k  # the round of the latest pulse on each position
     # a stack of non-empty N intervals (l, r) and of chords (~l, m) to
     # pulse, not recursion: k reaches 2^N
     todo = [(0, k - 1)] if k > 1 else []
     while todo:
         l, r = todo.pop()
         if l < 0:
-            l = ~l
-            rl, rr = last[l], last[r]
-            rnd = last[l] = last[r] = (rl if rl > rr else rr) + 1
-            if rnd >= cap:
-                return None
-            out.append((l, r))
+            out.append((~l, r))
             continue
         while l < r:
             # bits & -bits keeps the lowest set bit
@@ -329,7 +306,7 @@ def _read_tree(
             if l < x:
                 todo.append((l, x))
             l = m  # N[m][r] comes first, so it is expanded at once
-    return out, max(last)
+    return out
 
 
 def _exact_cycle_pulses(
@@ -339,13 +316,12 @@ def _exact_cycle_pulses(
 
     The pulses are the edges of a non-crossing tree from ``_tree_tables``,
     read out four ways: highest or lowest m, times highest or lowest x,
-    the uniform pairs first.  The read-out with the fewest rounds wins,
-    the earlier on a tie, so the (highest, highest) tree stays unless
-    another is shallower: each later read-out is capped at the best
-    rounds so far and abandoned when it reaches them.  The search stops
-    at a read-out whose rounds equal the cycle's largest Hamming step,
-    which no program beats.  Returns None when the cycle needs more
-    pulses on this topology.
+    the uniform pairs first.  Each read-out's rounds are counted with
+    ``_round_numbers``, and the one with the fewest wins, the earlier on
+    a tie, so the (highest, highest) tree stays unless another is
+    shallower.  The search stops at a read-out whose rounds equal the
+    cycle's largest Hamming step, which no program beats.  Returns None
+    when the cycle needs more pulses on this topology.
     """
     tables = _tree_tables(cycle, t)
     if tables is None:
@@ -355,9 +331,10 @@ def _exact_cycle_pulses(
     best: list[tuple[int, int]] = []
     least = len(cycle)
     for high_m, high_x in orders:
-        got = _read_tree(tables, high_m, high_x, least)
-        if got is not None:
-            best, least = got
+        tree = _read_tree(tables, high_m, high_x)
+        rounds = max(_round_numbers(tree, len(cycle)), default=0)
+        if rounds < least:
+            best, least = tree, rounds
         if least == farthest:
             break
     pulses = []

@@ -343,6 +343,22 @@ def test_spectrum_does_not_route(topology, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_CL_DIGESTS[topology]
 
 
+@pytest.mark.parametrize("command", ["compile", "spectrum"])
+@pytest.mark.parametrize(
+    "topology, labeling, message",
+    [
+        ("chain", "pairswap", "quadrupolar_chain (choose from ols, cl, gray)"),
+        ("hypercube", "gray", "spin_half_hypercube (choose from pairswap, parallel, cl)"),
+    ],
+)
+def test_labeling_must_suit_topology(command, topology, labeling, message, capsys):
+    argv = [command, "--topology", topology, "--labeling", labeling, "fulladder4"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    err = "error: labeling {!r} is not valid for {}\n".format(labeling, message)
+    assert (captured.out, captured.err) == ("", err)
+
+
 def test_antipodal_hypercube_cl_round_trip(tmp_path):
     # antipodal swap on the 4-qubit hypercube: routing needs transit pulses
     # and always succeeds, and the emitted program verifies
@@ -537,17 +553,21 @@ def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
     assert _round_trip_digests(operations, SCHEME_PAIRS) == ROUND_TRIP_DIGESTS
 
 
-# sha256 per chain fixed labeling over test_long_program_stdout_digest
+# sha256 per scheme pair over test_long_program_stdout_digest
 LONG_PROGRAM_DIGESTS = {
     ("chain", "cl"): "07bf7ed0d3f46eba9b8afb5464afa73ea3847f29f6065a942aab66846a4b7680",
     ("chain", "gray"): "4a2bfc6dc1a70d9761da6a33d44868bbb6306a2d3dfd09ddc082c59b1e2fe371",
+    ("hypercube", "cl"): "b7e54135019fdb9bef77768f2964e0553cff5a1a8a2555efbc7e7d3d65dbfe2a",
+    ("hypercube", "pairswap"): "9d597a3c581987ef6f0a749fd85faec6964e2cff05931bc7f727735017f8afb0",
+    ("hypercube", "parallel"): "9b914551e064d87a9ef70a7e24c672363e0fdb84d51c94b692e9de02f8d33f15",
 }
 
 
 def test_long_program_stdout_digest(tmp_path, monkeypatch):
-    # chain cl and gray on two seeded random tables per N = 7, 8: about
+    # two seeded random tables per N = 7, 8.  Chain cl and gray emit about
     # 2^N (2^N - 1) / 4 pulses over at most 2^N - 1 transitions, so every
-    # transition repeats many times in each program
+    # transition repeats many times in each program; the hypercube pairs
+    # pin the longest tree read-outs and placement chains
     monkeypatch.chdir(tmp_path)
     operations = _write_random_tables(random.Random(2026), (7, 8))
     assert _round_trip_digests(operations, tuple(LONG_PROGRAM_DIGESTS)) == LONG_PROGRAM_DIGESTS

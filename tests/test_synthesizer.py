@@ -31,12 +31,12 @@ from levelpulse import (
     sequence_unitary,
     serialize_pulse_program,
     synthesize_fixed_labeling,
-    synthesize_on_path,
+    synthesize_named,
     synthesize_scheme,
     verify_permutation,
 )
 from levelpulse.labeler import PATH, LabelingScheme
-from levelpulse.permutation import cycles
+from levelpulse.permutation import MaximalSetDecomposition, cycles
 from levelpulse.synthesizer import (
     _detour_pulses,
     _exact_cycle_pulses,
@@ -71,9 +71,10 @@ def random_permutation(n_qubits, rng):
     return Permutation(n_qubits, tuple(m))
 
 
-def chain_levels(scheme, mset):
-    # a placement scheme's labeling puts each chain on these levels
-    return tuple(scheme.labeling.level_of(s) for s in mset.chain)
+def set_pulses(d, scheme, t, index):
+    # the scheme's pulses for one set: synthesize_scheme on that set alone
+    alone = MaximalSetDecomposition(d.n_qubits, (d.sets[index],))
+    return list(synthesize_scheme(alone, scheme, t).pulses)
 
 
 def label_subspace(u, labeling, labels):
@@ -85,16 +86,14 @@ def test_on_path_emits_reverse_chain_order(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    mset = d.sets[4]
-    pulses = synthesize_on_path(mset, chain_levels(scheme, mset), t)
-    assert pulses == [(2, 3), (1, 2), (0, 1)]
+    assert set_pulses(d, scheme, t, 4) == [(2, 3), (1, 2), (0, 1)]
 
 
 def test_on_path_product_matches_cycle_matrix(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[4], chain_levels(scheme, d.sets[4]), t)
+    pulses = set_pulses(d, scheme, t, 4)
     u = sequence_unitary(one_per_round(scheme.labeling, pulses))
     sub = label_subspace(u, scheme.labeling, [0b0100, 0b0101, 0b0110, 0b0111])
     assert np.array_equal(sub, CYCLE4_MATRIX)
@@ -104,8 +103,7 @@ def test_on_path_two_element_set(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[6], chain_levels(scheme, d.sets[6]), t)
-    assert len(pulses) == 1
+    assert len(set_pulses(d, scheme, t, 6)) == 1
 
 
 def test_on_path_second_cycle_population_action(full_adder):
@@ -113,7 +111,7 @@ def test_on_path_second_cycle_population_action(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[5], chain_levels(scheme, d.sets[5]), t)
+    pulses = set_pulses(d, scheme, t, 5)
     u = sequence_unitary(one_per_round(scheme.labeling, pulses))
     lab = scheme.labeling
     for src, dst in [(0b1000, 0b1010), (0b1010, 0b1001), (0b1001, 0b1011), (0b1011, 0b1000)]:
@@ -123,12 +121,13 @@ def test_on_path_second_cycle_population_action(full_adder):
 
 
 def test_on_path_rejects_non_path(full_adder):
+    # a hand-built path scheme on the conventional labeling puts the first
+    # 4-cycle on levels 4, 6, 5, 7, and its last pair (5, 7) is no transition
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
-    with pytest.raises(ValueError, match="single-quantum transition"):
-        synthesize_on_path(d.sets[4], (0, 2, 4, 6), t)
-    with pytest.raises(ValueError, match="length"):
-        synthesize_on_path(d.sets[4], (0, 1, 2), t)
+    scheme = LabelingScheme(conventional_labeling(t), PATH)
+    with pytest.raises(ValueError, match=re.escape("levels (5, 7) are not a single-quantum")):
+        synthesize_scheme(d, scheme, t)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +241,7 @@ def test_schedule_single_pulse(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[6], chain_levels(scheme, d.sets[6]), t)
+    pulses = set_pulses(d, scheme, t, 6)
     single = schedule_rounds(PulseSequence(scheme.labeling, tuple(pulses), (1,) * len(pulses)))
     assert single.rounds == (1,)
 
@@ -251,7 +250,7 @@ def test_schedule_chain_triple_needs_three_rounds(full_adder):
     d = maximal_sets(full_adder)
     t = build_topology(QUADRUPOLAR_CHAIN, 4)
     scheme = ols_quadrupolar(d, t)
-    pulses = synthesize_on_path(d.sets[4], chain_levels(scheme, d.sets[4]), t)
+    pulses = set_pulses(d, scheme, t, 4)
     seq = PulseSequence(scheme.labeling, tuple(pulses), (1,) * 3)
     assert schedule_rounds(seq).rounds == (1, 1, 1)
 
@@ -323,20 +322,41 @@ def test_report_composed_hypercube_pairswap(full_adder):
     assert (rep.counts["pairswap"], rep.rounds["pairswap"]) == (12, 4)
 
 
-def test_pairswap_baseline_n10_table():
-    # the seeded N = 10 table of the ROADMAP baseline: the greedy descent
-    # dead-ends, so pairswap takes parallel's Gray layout in Coxeter order
-    # and runs in 2 rounds (461 when each set was pulsed along a Gray path,
-    # 16 as the path's shallowest tree)
+@pytest.mark.parametrize(
+    "kind, name, counts",
+    [
+        (QUADRUPOLAR_CHAIN, "ols", (1017, 461)),
+        (QUADRUPOLAR_CHAIN, "cl", (253951, 993)),
+        (QUADRUPOLAR_CHAIN, "gray", (255153, 1011)),
+        (SPIN_HALF_HYPERCUBE, "cl", (3369, 323)),
+        (SPIN_HALF_HYPERCUBE, "pairswap", (1017, 2)),
+        (SPIN_HALF_HYPERCUBE, "parallel", (1017, 2)),
+    ],
+    ids=[
+        "chain-ols",
+        "chain-cl",
+        "chain-gray",
+        "hypercube-cl",
+        "hypercube-pairswap",
+        "hypercube-parallel",
+    ],
+)
+def test_baseline_n10_table(kind, name, counts):
+    # the seeded N = 10 table of the ROADMAP baseline, (pulses, rounds) per
+    # scheme pair; on the hypercube the greedy descent dead-ends, so
+    # pairswap takes parallel's Gray layout in Coxeter order and runs in 2
+    # rounds (461 when each set was pulsed along a Gray path, 16 as the
+    # path's shallowest tree)
     mapping = list(range(1024))
     random.Random(2026).shuffle(mapping)
     p = Permutation(10, tuple(mapping))
     d = maximal_sets(p)
-    t = build_topology(SPIN_HALF_HYPERCUBE, 10)
-    scheme = relabel_pairswap_spin_half(d, t)
-    assert scheme == relabel_parallel_spin_half(d, t)
-    seq = schedule_rounds(synthesize_scheme(d, scheme, t))
-    assert (len(seq), len(seq.rounds)) == (1017, 2)
+    t = build_topology(kind, 10)
+    scheme, seq = synthesize_named(name, p, d, t)
+    if name == "pairswap":
+        assert scheme == relabel_parallel_spin_half(d, t)
+    seq = schedule_rounds(seq)
+    assert (len(seq), len(seq.rounds)) == counts
     assert verify_permutation(seq, p).passed
 
 
@@ -406,19 +426,22 @@ def test_pulse_sequence_rejects_levels_out_of_range(pulses):
 
 
 # each refusal with its message at N = 3; with both faults in one sequence
-# the shared-level refusal still wins, as in a scheduled sequence's loop
+# the shared-level refusal still wins
 PULSE_SEQUENCE_ERRORS = [
     (((5, 5),), "pulses within a round must not share a level"),
     (((-1, 0),), "pulse levels must lie in [0, 8)"),
     (((7, 8),), "pulse levels must lie in [0, 8)"),
     (((7, 8), (5, 5)), "pulses within a round must not share a level"),
+    # listed high level first, it would serialize as "4  3" and parse back
+    # as (3, 4), a different sequence
+    (((4, 3),), "pulses must list the lower level first"),
 ]
 
 
 @pytest.mark.parametrize("scheduled", [False, True], ids=["one-per-round", "multi-pulse"])
 @pytest.mark.parametrize("pulses, message", PULSE_SEQUENCE_ERRORS)
 def test_pulse_sequence_refusals_in_both_round_shapes(pulses, message, scheduled):
-    # every pulse recurs, so the one-pulse-per-round check meets repeats
+    # every pulse recurs, so the once-per-distinct-pulse checks meet repeats
     pulses = pulses * 2
     rounds = (1,) * len(pulses)
     if scheduled:
@@ -427,6 +450,13 @@ def test_pulse_sequence_refusals_in_both_round_shapes(pulses, message, scheduled
         rounds = (2,) + rounds[1:]
     with pytest.raises(ValueError, match=re.escape(message)):
         PulseSequence(conventional(3), pulses, rounds)
+
+
+def test_pulse_sequence_shared_level_in_round_wins_over_range():
+    # the first round's two pulses share level 1 and a later pulse leaves
+    # [0, 8): the shared level is named
+    with pytest.raises(ValueError, match="pulses within a round must not share a level"):
+        PulseSequence(conventional(3), ((0, 1), (1, 2), (7, 8)), (2, 1))
 
 
 @pytest.mark.parametrize(
@@ -617,7 +647,7 @@ def test_exact_cycle_tree_is_shallowest_read_out():
         assert_factors_cycle(got, cyc, t)
         k = len(cyc)
         depths = [
-            max(_round_numbers(_read_tree(tables, high_m, high_x, k)[0], k), default=0)
+            max(_round_numbers(_read_tree(tables, high_m, high_x), k), default=0)
             for high_m in (True, False)
             for high_x in (True, False)
         ]
@@ -672,12 +702,11 @@ def cube_chains(draw):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(case=cube_chains())
-def test_path_tables_and_capped_read_outs_match_references(case):
+def test_path_tables_and_read_outs_match_references(case):
     # a chain on a cube path always has tables, since its path is a tree;
-    # each capped read-out is the uncapped one while its rounds stay below
-    # the cap, and the kept tree is the one the rule "read out four ways,
-    # count each with _round_numbers, keep the first with the fewest
-    # rounds" picks
+    # each read-out is the recursive reference's, and the kept tree is the
+    # one the rule "read out four ways, count each with _round_numbers,
+    # keep the first with the fewest rounds" picks
     t, chain = case
     k = len(chain)
     tables = _tree_tables(chain, t)
@@ -685,11 +714,8 @@ def test_path_tables_and_capped_read_outs_match_references(case):
     best, least = [], k
     for high_m, high_x in ((True, True), (False, False), (True, False), (False, True)):
         tree = reference_read_tree(tables, high_m, high_x)
+        assert _read_tree(tables, high_m, high_x) == tree
         rounds = max(_round_numbers(tree, k), default=0)
-        assert _read_tree(tables, high_m, high_x, k) == (tree, rounds)
-        for cap in {1, max(rounds, 1), rounds + 1, k}:
-            got = _read_tree(tables, high_m, high_x, cap)
-            assert got == ((tree, rounds) if rounds < cap else None)
         if rounds < least:
             best, least = tree, rounds
         if least == farthest:
@@ -834,7 +860,7 @@ def test_all_exact_tables_keep_shallowest_trees():
             continue
         first = [
             (orbit[l], orbit[m]) for orbit, got in zip(orbits, tables)
-            for l, m in _read_tree(got, True, True, len(orbit))[0]
+            for l, m in _read_tree(got, True, True)
         ]
         routed = _hypercube_program(sigma, t)
         assert len(routed) == len(first) == 8 - len(orbits)
