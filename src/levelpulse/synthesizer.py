@@ -15,14 +15,18 @@ the inversion count of the induced level permutation, achieved by
 odd-even transposition sort.  On the hypercube an orbit factors into
 |S| - 1 pulses exactly when it passes a non-crossing-tree test, an
 interval DP whose tables also give those pulses, read out four ways and
-kept in the fewest rounds; other orbits take one detour through an
-outside level or a token-swapping router, so the count is then an upper
-bound.  The router swaps in level-disjoint phases, and runs from eight
-starts that share one per-orbit factorization: sigma and sigma^-1
-reversed, each conjugated by four cube automorphisms (identity, bit
-complement, bit reversal, both) and mapped back.  The hypercube program
-is the best of these, never worse than sigma's own in pulses or rounds.
-Every step is polynomial.
+kept in the fewest rounds.  A table whose orbits all pass is routed so,
+minimal in pulses; any other takes a token-swapping router, and the
+count is then an upper bound.  The router swaps in level-disjoint
+phases.  When a phase finds no swap, it factors the orbit of the first
+misplaced level exactly if that orbit is short and passes the test, and
+otherwise rotates a ring of closer neighbours (as its shallowest tree
+when that saves rounds) or makes one swap that moves a single
+population.  It runs from eight starts: sigma and sigma^-1 reversed,
+each conjugated by four cube automorphisms (identity, bit complement,
+bit reversal, both) and mapped back.  The hypercube program is the best
+of these, never worse than sigma's own in pulses or rounds.  Every step
+is polynomial.
 
 Pulses are always pi rotations about y on a single transition.  A pulse
 sequence also carries its partition into simultaneous rounds: pulses in
@@ -261,7 +265,8 @@ def _tree_tables(cycle: tuple[int, ...], t: Topology) -> tuple[list[int], ...] |
             if m > l:
                 near |= 1 << m
         n_l, t_l = 1 << l, 0  # row[l] and chords[l] as they grow with r
-        for r in range(l + 1, k):
+        # no chord, so no N[l][r], ends before l's first later neighbour
+        for r in range((near & -near).bit_length() - 1 if near else k, k):
             c = col[r]
             if near >> r & 1 and n_l & c >> 1:
                 t_l |= 1 << r
@@ -314,24 +319,37 @@ def _exact_cycle_pulses(
 ) -> list[tuple[int, int]] | None:
     """Factor one hypercube cycle into exactly len - 1 edge transpositions.
 
-    The pulses are the edges of a non-crossing tree from ``_tree_tables``,
-    read out four ways: highest or lowest m, times highest or lowest x,
-    the uniform pairs first.  Each read-out's rounds are counted with
-    ``_round_numbers``, and the one with the fewest wins, the earlier on
-    a tie, so the (highest, highest) tree stays unless another is
-    shallower.  The search stops at a read-out whose rounds equal the
-    cycle's largest Hamming step, which no program beats.  Returns None
-    when the cycle needs more pulses on this topology.
+    The pulses are the shallowest tree ``_shallowest_tree`` reads off the
+    tables of ``_tree_tables``.  Returns None when the cycle needs more
+    pulses on this topology.
     """
     tables = _tree_tables(cycle, t)
-    if tables is None:
-        return None
+    return None if tables is None else _shallowest_tree(cycle, tables)
+
+
+def _shallowest_tree(
+    cycle: tuple[int, ...], tables: tuple[list[int], ...]
+) -> list[tuple[int, int]]:
+    """The shallowest of four trees read off a cycle's DP tables, as level pairs.
+
+    The tree is read out four ways: highest or lowest m, times highest or
+    lowest x, the uniform pairs first.  Each read-out's rounds are counted
+    with ``_round_numbers``, and the one with the fewest wins, the earlier
+    on a tie, so the (highest, highest) tree stays unless another is
+    shallower.  The search stops at a read-out whose rounds equal the
+    cycle's largest Hamming step, which no program beats.
+    """
     farthest = max(map(int.bit_count, map(xor, cycle, cycle[1:] + cycle[:1])))
     orders = ((True, True), (False, False), (True, False), (False, True))
     best: list[tuple[int, int]] = []
     least = len(cycle)
     for high_m, high_x in orders:
         tree = _read_tree(tables, high_m, high_x)
+        # a tree fixes each choice of m and x, so when the lowest choices
+        # give the highest choices' tree, every choice had one option and
+        # every read-out gives that tree
+        if not high_m and not high_x and tree == best:
+            break
         rounds = max(_round_numbers(tree, len(cycle)), default=0)
         if rounds < least:
             best, least = tree, rounds
@@ -345,35 +363,10 @@ def _exact_cycle_pulses(
     return pulses
 
 
-def _detour_pulses(
-    cycle: tuple[int, ...], t: Topology
-) -> list[tuple[int, int]] | None:
-    """Route one hypercube cycle in len + 1 pulses through one outside level.
-
-    The first pulse swaps some c_i with a neighbour v outside the cycle;
-    the rest factor the longer cycle with v inserted after c_i exactly.
-    Candidates go in lexicographic order of that first edge.  Returns
-    None when no detour works.  The longer cycle's k = len + 1 pulses
-    move its populations at most 2k - 2 steps, and inserting v keeps its
-    displacement when v lies between c_i and c_(i+1) and adds 2
-    otherwise, so only candidates within that budget reach the DP.
-    """
-    size = len(cycle)
-    spare = 2 * size - _displacement(cycle)
-    if spare < 0:
-        return None
-    members = set(cycle)
-    detours = sorted(
-        ((min(c, v), max(c, v)), i, v)
-        for i, (c, after) in enumerate(zip(cycle, cycle[1:] + cycle[:1]))
-        for v in t.neighbors[c]
-        if v not in members and (spare >= 2 or (c ^ v) & (c ^ after))
-    )
-    for first, i, v in detours:
-        rest = _exact_cycle_pulses(cycle[: i + 1] + (v,) + cycle[i + 1 :], t)
-        if rest is not None:
-            return [first] + rest
-    return None
+# the router factors a leftover orbit exactly only up to this many levels:
+# the tree DP is O(k^2 N), and an orbit of 2^N levels at N = 10 would
+# take seconds; no orbit is longer at N <= 6
+_ORBIT_CAP = 64
 
 
 def _route_tokens(sigma: Sequence[int], t: Topology) -> list[tuple[int, int]]:
@@ -388,13 +381,21 @@ def _route_tokens(sigma: Sequence[int], t: Topology) -> list[tuple[int, int]]:
     misplaced level, each later one the misplaced levels the previous
     step touched: a pair turns happy only when one of its populations
     moves, and a happy pair skipped in a phase has a used level, so a
-    phase without a swap proves there is no happy swap.  Then closer-
-    neighbour pointers from the first misplaced level either close a
-    ring, which is rotated, or reach a settled population, which takes
-    one unhappy swap.  Happy swaps and rings shorten the total distance.
-    An unhappy swap keeps it, unsettles one population and settles none
-    (the level entered is the settled population's home), so runs of
-    them are finite and the router always ends.
+    phase without a swap proves there is no happy swap.  Then the orbit
+    of the first misplaced level, when it closes within ``_ORBIT_CAP``
+    levels and passes the tree test, is factored exactly
+    (``_exact_cycle_pulses``), which settles it in |S| - 1 pulses.
+    Otherwise closer-neighbour pointers from that level either close a
+    ring or reach a settled population, which takes one unhappy swap.
+    A ring r_0 ... r_(L-1) moves the population on r_i to r_(i+1), so it
+    is a cycle of cube edges, its path one tree; a ring of more than
+    four levels is rotated as its shallowest tree when that takes fewer
+    than the path's L - 1 rounds.  (A 4-ring's chords are no cube edges,
+    so its trees are paths.)  Happy swaps, finished orbits and rings
+    shorten the total distance.  An unhappy swap keeps it, unsettles one
+    population and settles none (the level entered is the settled
+    population's home), so runs of them are finite and the router always
+    ends.
     """
     goal = list(sigma)  # goal[lv]: destination of the population now on lv
     out: list[tuple[int, int]] = []
@@ -428,6 +429,16 @@ def _route_tokens(sigma: Sequence[int], t: Topology) -> list[tuple[int, int]]:
         start = next((lv for lv, g in enumerate(goal) if g != lv), None)
         if start is None:
             return out
+        orbit, lv = [start], goal[start]
+        while lv != start and len(orbit) < _ORBIT_CAP:
+            orbit.append(lv)
+            lv = goal[lv]
+        tree = _exact_cycle_pulses(tuple(orbit), t) if lv == start else None
+        if tree is not None:
+            # the orbit settles and touches no other level: no phase follows
+            for a, b in tree:
+                swap(a, b)
+            continue
         path, seen = [start], {start: 0}
         while True:
             # a closer neighbour, one holding a misplaced population if any
@@ -446,7 +457,12 @@ def _route_tokens(sigma: Sequence[int], t: Topology) -> list[tuple[int, int]]:
                 break
             if v in seen:
                 ring = touched = path[seen[v] :]
-                for a, b in reversed(list(zip(ring, ring[1:]))):
+                pairs = list(zip(ring, ring[1:]))[::-1]
+                if len(ring) > 4:
+                    tree = _exact_cycle_pulses(tuple(ring), t)
+                    if max(_round_numbers(tree, len(goal))) < len(pairs):
+                        pairs = tree
+                for a, b in pairs:
                     swap(a, b)
                 break
             seen[v] = len(path)
@@ -455,9 +471,7 @@ def _route_tokens(sigma: Sequence[int], t: Topology) -> list[tuple[int, int]]:
 
 
 def _hypercube_bounds(
-    sigma: tuple[int, ...],
-    orbits: list[tuple[int, ...]],
-    exact: list[list[tuple[int, int]] | None],
+    sigma: tuple[int, ...], orbits: list[tuple[int, ...]], exact: Sequence[object]
 ) -> tuple[int, int]:
     """Lower bounds on the pulses and the rounds of any program for sigma.
 
@@ -465,9 +479,11 @@ def _hypercube_bounds(
     at least half the summed Hamming distance, and at least 2^N - #cycles.
     Every transposition factorization of sigma has the parity of
     2^N - #cycles, and one that short only splits cycles, so it exists
-    only when every orbit passes the tree test (``exact`` holds None
-    where one fails); otherwise the parity adds 2.  Rounds: a population
-    moves one step per round, so as many as the largest Hamming distance.
+    only when every orbit passes the tree test (``exact`` holds None when
+    some orbit fails it); otherwise the parity adds 2.  Rounds: a
+    population moves one step per round, so as many as the largest
+    Hamming distance.  ``_hypercube_program`` stops its search at a
+    program that meets both.
     """
     split = len(sigma) - len(orbits)
     pulses = max(split, sum(map(_displacement, orbits)) // 2)
@@ -514,64 +530,39 @@ def _hypercube_candidates(
             yield pulses[::-1] if backward else pulses
 
 
-def _hypercube_pulses(
-    sigma: tuple[int, ...],
-    orbits: list[tuple[int, ...]],
-    exact: list[list[tuple[int, int]] | None],
-    whole: list[tuple[int, int]],
-    t: Topology,
-) -> list[tuple[int, int]]:
-    """Sigma's own program: orbit by orbit, or ``whole`` when that is shorter.
-
-    ``exact`` holds each orbit's exact factorization, or None where the
-    orbit fails the tree test; such an orbit takes one detour, else the
-    router on that orbit alone.  ``whole`` is the router's program for
-    sigma, kept when it has fewer pulses than the per-orbit program.
-    """
-    size = len(sigma)
-    # a failing orbit takes at least len + 1 pulses (len - 1 needs a tree, and
-    # every count has the parity of len - 1), so once this floor of the
-    # per-orbit program passes the router's, the router's program is kept
-    floor = size - len(orbits) + 2 * exact.count(None)
-    raw: list[tuple[int, int]] = []
-    for cyc, got in zip(orbits, exact):
-        if floor > len(whole):
-            break
-        if got is None:
-            alone = list(range(size))
-            for lv in cyc:
-                alone[lv] = sigma[lv]
-            got = _detour_pulses(cyc, t) or _route_tokens(alone, t)
-            floor += len(got) - len(cyc) - 1
-        raw.extend(got)
-    return whole if floor > len(whole) else raw
-
-
 def _hypercube_program(sigma: tuple[int, ...], t: Topology) -> list[tuple[int, int]]:
     """Route sigma orbit by orbit, or by the best start of the token router.
 
-    Each orbit is factored once, and every start shares that work.  When
-    every orbit passes the tree test that program is minimal in pulses
-    and kept; its orbits touch disjoint levels, so it takes as many rounds
-    as its deepest orbit, whose tree is the shallowest of four read-outs.
-    Otherwise the eight starts of ``_hypercube_candidates`` compete: the
-    first gives sigma's own program (``_hypercube_pulses``), and among
-    programs with at most its pulses and at most its rounds, the one with
-    the fewest (pulses, rounds) wins, the earlier on a tie.  The search
-    stops at a program that meets both ``_hypercube_bounds``.
+    Each orbit takes the tree test once.  When every orbit passes, the
+    orbits' trees form a program minimal in pulses, which is kept; its
+    orbits touch disjoint levels, so it takes as many rounds as its
+    deepest orbit, whose tree is the shallowest of four read-outs.  Only
+    then are trees read out; otherwise ``_hypercube_bounds`` needs only
+    the first failing orbit, and the tests stop there.  Then the eight
+    starts of ``_hypercube_candidates`` compete: the first is sigma's own
+    program, and among programs with at most its pulses and at most its
+    rounds, the one with the fewest (pulses, rounds) wins, the earlier on
+    a tie.  The search stops at a program that meets both
+    ``_hypercube_bounds``.
     """
     size = len(sigma)
     orbits = cycles(sigma)
-    exact = [_exact_cycle_pulses(cyc, t) for cyc in orbits]
-    if None not in exact:
-        return [pulse for got in exact for pulse in got]
-    bounds = _hypercube_bounds(sigma, orbits, exact)
+    tables = []
+    for cyc in orbits:
+        tables.append(_tree_tables(cyc, t))
+        if tables[-1] is None:
+            break  # one failing orbit is all the bounds need to know
+    else:
+        return [
+            pulse for cyc, got in zip(orbits, tables) for pulse in _shallowest_tree(cyc, got)
+        ]
+    bounds = _hypercube_bounds(sigma, orbits, tables)
 
     def cost(pulses: list[tuple[int, int]]) -> tuple[int, int]:
         return len(pulses), max(_round_numbers(pulses, size), default=0)
 
     found = _hypercube_candidates(sigma, t)
-    best = _hypercube_pulses(sigma, orbits, exact, next(found), t)
+    best = next(found)
     limit = best_cost = cost(best)
     while best_cost != bounds:
         pulses = next(found, None)
@@ -592,19 +583,18 @@ def synthesize_fixed_labeling(
     permutation.  On the chain the sequence is the odd-even transposition
     sort of the induced level permutation (inversion-count minimal, and
     each phase of level-disjoint swaps can share one round).  On the
-    hypercube each orbit is factored once: exactly into |S| - 1 pulses,
-    the shallowest of four trees read off the tables of the
-    non-crossing-tree DP when the orbit passes it, which is minimal when
-    every orbit does.  Otherwise the phased token-swapping router runs on
-    eight starts (sigma and sigma^-1, each conjugated by the identity, the
-    bit complement, the bit reversal and both), each mapped back to a
-    program for sigma.
-    Sigma's own program is the shorter of the router's and the per-orbit
-    one, where a failing orbit takes |S| + 1 pulses through one outside
-    level or else the router on that orbit alone; another start's program
-    replaces it only when no worse in pulses or rounds and better in one.
-    The count is then an upper bound.  Every step is polynomial, so
-    routing always succeeds.
+    hypercube, when every orbit passes the non-crossing-tree DP, each
+    orbit is factored exactly into |S| - 1 pulses, the shallowest of four
+    trees read off the DP's tables, which is minimal.  Otherwise the
+    phased token-swapping router runs on eight starts (sigma and
+    sigma^-1, each conjugated by the identity, the bit complement, the
+    bit reversal and both), each mapped back to a program for sigma.  The
+    router factors leftover orbits exactly where they pass the DP, and
+    rotates long rings as trees where that saves rounds.  Sigma's own
+    program is the first start's; another start's program replaces it
+    only when no worse in pulses or rounds and better in one.  The count
+    is then an upper bound.  Every step is polynomial, so routing always
+    succeeds.
     """
     labeling = scheme.labeling
     sigma = labeling.induced(p)

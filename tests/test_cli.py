@@ -495,9 +495,10 @@ SCHEME_PAIRS = (
 )
 
 # sha256 per scheme pair over the compile and verify stdout of
-# test_compile_verify_stdout_digest; a hypercube cl program is the best of
-# the phased token router's eight cube-symmetric starts and the per-orbit
-# factorization, which keeps each exact orbit's shallowest tree read-out;
+# test_compile_verify_stdout_digest; a hypercube cl program is each exact
+# orbit's shallowest tree read-out when every orbit passes the tree test,
+# else the best of the phased token router's eight cube-symmetric starts,
+# which factor leftover orbits exactly and rotate long rings as trees;
 # a hypercube pairswap set is pulsed as its shallowest tree the same way,
 # unless the greedy descent dead-ends, as on the seeded N = 5 and 6 tables,
 # and the scheme takes parallel's Gray layout in Coxeter order
@@ -507,7 +508,7 @@ ROUND_TRIP_DIGESTS = {
     ("chain", "gray"): "2758b53f3a0b2de6385b75a07fcc5151a8dc099848efaadd61b3ad2961d366a2",
     ("hypercube", "pairswap"): "8cd1e87c53b06a999763bcc6dd4e29e1b3a9832e6b474308bc7265e8087c909f",
     ("hypercube", "parallel"): "92e36772daa8d486e098fc79fb399d4058a0ea020cc7660950d6cca0a34fae59",
-    ("hypercube", "cl"): "6e4c853b8fb718424eee67f0a9ef3172501bc98af230568b1b98e820d9626433",
+    ("hypercube", "cl"): "bb8b80ae25cbdeb170aa4b7e521175f8a0fc30f5145c68755d317a6c9240f40e",
 }
 
 
@@ -557,7 +558,7 @@ def test_compile_verify_stdout_digest(tmp_path, monkeypatch):
 LONG_PROGRAM_DIGESTS = {
     ("chain", "cl"): "07bf7ed0d3f46eba9b8afb5464afa73ea3847f29f6065a942aab66846a4b7680",
     ("chain", "gray"): "4a2bfc6dc1a70d9761da6a33d44868bbb6306a2d3dfd09ddc082c59b1e2fe371",
-    ("hypercube", "cl"): "b7e54135019fdb9bef77768f2964e0553cff5a1a8a2555efbc7e7d3d65dbfe2a",
+    ("hypercube", "cl"): "6abee93f740f1eb10a078df9448312a05ccdee8eda2dff716bfec48f001a405a",
     ("hypercube", "pairswap"): "9d597a3c581987ef6f0a749fd85faec6964e2cff05931bc7f727735017f8afb0",
     ("hypercube", "parallel"): "9b914551e064d87a9ef70a7e24c672363e0fdb84d51c94b692e9de02f8d33f15",
 }
