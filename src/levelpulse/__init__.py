@@ -7,7 +7,6 @@ and verifies the result at the unitary and population level.
 """
 
 from .permutation import (
-    MaximalSet,
     MaximalSetDecomposition,
     Permutation,
     TruthTableError,

@@ -47,9 +47,7 @@ EXIT_VERIFY = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A refused input; ``main`` reports it and exits ``EXIT_FORMAT``."""
 
 
 def _read_text(path: str) -> str:
@@ -59,36 +57,36 @@ def _read_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise CliError(
-            "{}: not UTF-8 text ({} at byte {})".format(path, exc.reason, exc.start),
-            EXIT_FORMAT,
+            "{}: not UTF-8 text ({} at byte {})".format(path, exc.reason, exc.start)
         ) from None
 
 
 def _resolve_operations(args: argparse.Namespace) -> tuple[Permutation, str, Topology]:
     """Compose the operation tokens left to right into one permutation.
 
-    Also builds the topology for the inferred qubit count, so a count
-    out of range is refused before any operation is built.
+    Also builds the topology for the qubit count, ``--qubits`` when given
+    and else the first operation's own, so a count out of range, 0
+    included, is refused before any operation is built.
     """
     n = args.qubits
     tables: dict[str, Permutation] = {}
     for token in args.operations:
         if os.path.exists(token):
             tables[token] = parse_truth_table(_read_text(token))
-            n = n or tables[token].n_qubits
+            n = tables[token].n_qubits if n is None else n
         elif token == "fulladder4":
-            n = n or 4
+            n = 4 if n is None else n
         elif token.startswith("identity:"):
             try:
-                n = n or int(token.split(":", 1)[1])
+                n = int(token.split(":", 1)[1]) if n is None else n
             except ValueError:
-                raise CliError("bad qubit count in {!r}".format(token), EXIT_FORMAT) from None
+                raise CliError("bad qubit count in {!r}".format(token)) from None
     if n is None:
-        raise CliError("qubit count could not be inferred; pass --qubits", EXIT_FORMAT)
+        raise CliError("qubit count could not be inferred; pass --qubits")
     try:
         t = build_topology(args.topology, n)
     except ValueError as exc:
-        raise CliError(str(exc), EXIT_FORMAT) from exc
+        raise CliError(str(exc)) from exc
 
     perms = []
     for token in args.operations:
@@ -98,13 +96,12 @@ def _resolve_operations(args: argparse.Namespace) -> tuple[Permutation, str, Top
             try:
                 perms.append(builtin_operation(token, n))
             except ValueError as exc:
-                raise CliError(str(exc), EXIT_FORMAT) from exc
+                raise CliError(str(exc)) from exc
         if perms[-1].n_qubits != n:
             raise CliError(
                 "operation {!r} acts on {} qubits, expected {}".format(
                     token, perms[-1].n_qubits, n
-                ),
-                EXIT_FORMAT,
+                )
             )
     combined = perms[0]
     for extra in perms[1:]:
@@ -120,8 +117,7 @@ def _scheme_name(args: argparse.Namespace) -> str:
         raise CliError(
             "labeling {!r} is not valid for {} (choose from {})".format(
                 name, args.topology, ", ".join(allowed)
-            ),
-            EXIT_FORMAT,
+            )
         )
     return name
 
@@ -176,7 +172,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         labeling = labeler.parse_labeling(_read_text(args.labeling_table), t)
         seq = synthesizer.parse_pulse_program(_read_text(args.program), t, labeling)
     except (OSError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_FORMAT) from exc
+        raise CliError(str(exc)) from exc
     verdict = simulator.verify_permutation(seq, p)
     lines = [
         "command: verify",
@@ -241,7 +237,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     p, op_name, t = _resolve_operations(args)
     if args.topology != QUADRUPOLAR_CHAIN:
-        raise CliError("enumeration applies to the quadrupolar chain", EXIT_FORMAT)
+        raise CliError("enumeration applies to the quadrupolar chain")
     d = maximal_sets(p)
     family = count_optimal_labelings(d)
     lines = [
@@ -323,13 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args.topology = TOPOLOGY_ALIASES[args.topology]
     try:
         return args.run(args)
-    except CliError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return exc.code
-    except TruthTableError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as exc:
+    except (CliError, TruthTableError, OSError) as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_FORMAT
 

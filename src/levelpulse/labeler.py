@@ -86,7 +86,7 @@ def _scheme_from_segments(
         levels = segment_levels[i]
         if style == COXETER:
             levels = levels[0::2] + levels[1::2][::-1]
-        for state, level in zip(mset.chain, levels):
+        for state, level in zip(mset, levels):
             level_to_label[level] = state
     return LabelingScheme(Labeling(t.n_qubits, tuple(level_to_label)), style)
 
@@ -106,6 +106,18 @@ def _contiguous_scheme(
     return _scheme_from_segments(d, t, segments)
 
 
+# both chain placements refuse another topology with this message
+_CHAIN_ONLY = "optimal chain labeling needs a quadrupolar chain topology"
+
+
+def _require(d: MaximalSetDecomposition, t: Topology, kind: str, refusal: str) -> None:
+    """Refuse a topology of another kind than ``kind``, or of another size than ``d``."""
+    if t.kind != kind:
+        raise ValueError(refusal)
+    if (1 << d.n_qubits) != t.level_count:
+        raise ValueError("decomposition size does not match topology size")
+
+
 def ols_quadrupolar(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
     """Canonical optimal labeling for the chain.
 
@@ -113,10 +125,7 @@ def ols_quadrupolar(d: MaximalSetDecomposition, t: Topology) -> LabelingScheme:
     (ties in canonical order), each chain in transformation order with
     ascending orientation.
     """
-    if t.kind != QUADRUPOLAR_CHAIN:
-        raise ValueError("optimal chain labeling needs a quadrupolar chain topology")
-    if (1 << d.n_qubits) != t.level_count:
-        raise ValueError("decomposition size does not match topology size")
+    _require(d, t, QUADRUPOLAR_CHAIN, _CHAIN_ONLY)
     return _contiguous_scheme(d, t, _placement_order(d), set())
 
 
@@ -130,8 +139,7 @@ def enumerate_ols_quadrupolar(
     M! * 2^k schemes (``count_optimal_labelings``; the family, not every
     optimal labeling).  Schemes are generated lazily up to ``limit``.
     """
-    if t.kind != QUADRUPOLAR_CHAIN:
-        raise ValueError("optimal chain labeling needs a quadrupolar chain topology")
+    _require(d, t, QUADRUPOLAR_CHAIN, _CHAIN_ONLY)
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     multi = [i for i in range(len(d.sets)) if len(d.sets[i]) > 1]
@@ -184,7 +192,7 @@ def _embed_chains(
     placed: set[int] = set()
     paths: dict[int, tuple[int, ...]] = {}
     for i in order:
-        chain = d.sets[i].chain
+        chain = d.sets[i]
         remaining = set(chain)
         free = (lv for lv in range(t.level_count) if lv not in used)
         path = [min(free, key=lambda lv: _preference(lv, chain[0], remaining, placed))]
@@ -230,10 +238,7 @@ def relabel_pairswap_spin_half(
     reflected Gray code layout of ``relabel_parallel_spin_half`` instead,
     which always succeeds in at most two rounds but relabels most levels.
     """
-    if t.kind != SPIN_HALF_HYPERCUBE:
-        raise ValueError("pair-swap relabeling applies to the spin-1/2 hypercube")
-    if (1 << d.n_qubits) != t.level_count:
-        raise ValueError("decomposition size does not match topology size")
+    _require(d, t, SPIN_HALF_HYPERCUBE, "pair-swap relabeling applies to the spin-1/2 hypercube")
     segments = _embed_chains(d, t, _multi_sets(d))
     if segments is None:
         return _gray_scheme(d, t)
@@ -249,7 +254,7 @@ def _fill_singletons(
     singles = [i for i in range(len(d.sets)) if len(d.sets[i]) == 1]
     deferred = []
     for i in singles:
-        label = d.sets[i].chain[0]
+        label = d.sets[i][0]
         if label in free:
             segments[i] = (label,)
             free.remove(label)
@@ -278,10 +283,7 @@ def relabel_parallel_spin_half(
     place are embedded as paths by the greedy descent; if that
     dead-ends, the whole scheme is built on the reflected Gray code.
     """
-    if t.kind != SPIN_HALF_HYPERCUBE:
-        raise ValueError("parallel relabeling applies to the spin-1/2 hypercube")
-    if (1 << d.n_qubits) != t.level_count:
-        raise ValueError("decomposition size does not match topology size")
+    _require(d, t, SPIN_HALF_HYPERCUBE, "parallel relabeling applies to the spin-1/2 hypercube")
 
     used: set[int] = set()
     segments: dict[int, tuple[int, ...]] = {}
@@ -289,7 +291,7 @@ def relabel_parallel_spin_half(
     bits = [1 << b for b in range(t.n_qubits)]
 
     for i in _multi_sets(d):
-        chain = d.sets[i].chain
+        chain = d.sets[i]
         cands: Iterable[tuple[int, ...]] = ()
         if len(chain) == 4:
             # squares alternating two flip directions, anchored at the first label first
@@ -333,15 +335,23 @@ def serialize_labeling(labeling: Labeling, t: Topology) -> str:
 
 
 def parse_labeling(text: str, t: Topology) -> Labeling:
-    """Parse a labeling table produced by :func:`serialize_labeling`."""
+    """Parse a labeling table produced by :func:`serialize_labeling`.
+
+    Chain rows are ``level m label``, with m the level's own magnetic
+    quantum number as ``Topology.m_text`` writes it; hypercube rows are
+    ``level label``.
+    """
+    on_chain = t.kind == QUADRUPOLAR_CHAIN
     rows: dict[int, int] = {}
     for raw in text.splitlines():
         parts = raw.partition("#")[0].split()
         if not parts:
             continue
-        if len(parts) not in (2, 3):
+        if len(parts) != (3 if on_chain else 2):
             raise ValueError("bad labeling line {!r}".format(raw))
         level = int(parts[0])
+        if on_chain and parts[1] != t.m_text(level):
+            raise ValueError("bad m {!r} for level {} in line {!r}".format(parts[1], level, raw))
         label_bits = parts[-1]
         if len(label_bits) != t.n_qubits or label_bits.strip("01"):
             raise ValueError("bad label {!r} in line {!r}".format(label_bits, raw))

@@ -20,7 +20,6 @@ from .topology import MAX_QUBITS
 __all__ = [
     "TruthTableError",
     "Permutation",
-    "MaximalSet",
     "MaximalSetDecomposition",
     "bit_string",
     "parse_truth_table",
@@ -86,30 +85,18 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class MaximalSet:
-    """One orbit of a permutation, listed as an ordered chain of states.
-
-    The chain s1 -> s2 -> ... -> sL is closed: the permutation maps each
-    element to the next and the last back to the first.
-    """
-
-    chain: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.chain)
-
-
-@dataclass(frozen=True)
 class MaximalSetDecomposition:
     """All orbits of a permutation in canonical order.
 
-    The first set starts at the smallest state index, each following set
-    at the smallest index not yet covered.  Within a set, elements appear
-    in transformation order.  The sets partition the full state space.
+    Each set is its chain of states s1 -> s2 -> ... -> sL, closed: the
+    permutation maps each element to the next and the last back to the
+    first.  The first set starts at the smallest state index, each
+    following set at the smallest index not yet covered.  The sets
+    partition the full state space.
     """
 
     n_qubits: int
-    sets: tuple[MaximalSet, ...]
+    sets: tuple[tuple[int, ...], ...]
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.sets)
@@ -122,7 +109,7 @@ class MaximalSetDecomposition:
         """Render the decomposition, one set per line, in ket notation."""
         lines = []
         for i, s in enumerate(self.sets, start=1):
-            kets = ",".join("|{}>".format(bit_string(x, self.n_qubits)) for x in s.chain)
+            kets = ",".join("|{}>".format(bit_string(x, self.n_qubits)) for x in s)
             lines.append("S{}={{{}}}".format(i, kets))
         return "\n".join(lines)
 
@@ -229,8 +216,7 @@ def maximal_sets(p: Permutation) -> MaximalSetDecomposition:
     follows the permutation until it closes.  The resulting sets are
     mutually exclusive and cover every state exactly once.
     """
-    sets = tuple(MaximalSet(chain) for chain in cycles(p.mapping))
-    return MaximalSetDecomposition(p.n_qubits, sets)
+    return MaximalSetDecomposition(p.n_qubits, tuple(cycles(p.mapping)))
 
 
 def min_pulse_count(d: MaximalSetDecomposition) -> int:

@@ -185,7 +185,7 @@ def synthesize_scheme(
     to_level = labeling.label_to_level
     pulses: list[tuple[int, int]] = []
     for mset in d.sets:
-        levels = tuple(to_level[s] for s in mset.chain)
+        levels = tuple(to_level[s] for s in mset)
         if scheme.style == COXETER:
             size = len(levels)
             pairs = [(i, size - 1 - i) for i in range(size // 2)]
@@ -504,8 +504,7 @@ def _hypercube_candidates(
     and the reversal then the complement.  Each g is an involution, so a
     program for g rho g maps back through g, pulse by pulse, to one for
     rho; and a program for sigma^-1 reversed realizes sigma because each
-    transposition is its own inverse.  For N = 1 the reversal is the
-    identity and only the first four starts run.
+    transposition is its own inverse.
     """
     size = len(sigma)
     inverse = [0] * size
@@ -517,10 +516,9 @@ def _hypercube_candidates(
         # each built only when the search reaches it; it stops at the bounds
         yield range(size)
         yield [lv ^ flip for lv in range(size)]
-        if t.n_qubits > 1:
-            rev = [int(bit_string(lv, t.n_qubits)[::-1], 2) for lv in range(size)]
-            yield rev
-            yield [lv ^ flip for lv in rev]
+        rev = [int(bit_string(lv, t.n_qubits)[::-1], 2) for lv in range(size)]
+        yield rev
+        yield [lv ^ flip for lv in rev]
 
     for g in symmetries():
         for rho, backward in ((sigma, False), (inverse, True)):
@@ -669,7 +667,6 @@ SCHEMES = {
 class PulseCountReport:
     """The pulse and round counts per labeling scheme for one operation."""
 
-    topology: str
     counts: dict[str, int]
     rounds: dict[str, int]
     notes: tuple[str, ...] = field(default=())
@@ -709,7 +706,8 @@ def pulse_count_report(p: Permutation, t: Topology) -> PulseCountReport:
 
     For benchmark operations with published chain counts, any
     disagreement between the computed minimal routing and the published
-    number is flagged in ``notes`` instead of passing silently.
+    number is flagged in ``notes`` instead of passing silently.  Rounds
+    are those ``schedule_rounds`` would pack, counted by ``_round_numbers``.
     """
     d = maximal_sets(p)
     counts: dict[str, int] = {}
@@ -717,7 +715,7 @@ def pulse_count_report(p: Permutation, t: Topology) -> PulseCountReport:
     for name in SCHEMES[t.kind]:
         _, seq = synthesize_named(name, p, d, t)
         counts[name] = len(seq)
-        rounds[name] = len(schedule_rounds(seq).rounds)
+        rounds[name] = max(_round_numbers(seq.pulses, t.level_count), default=0)
     notes = []
     if t.kind == QUADRUPOLAR_CHAIN:
         expected = _benchmark_counts().get(p.mapping)
@@ -730,7 +728,7 @@ def pulse_count_report(p: Permutation, t: Topology) -> PulseCountReport:
                             name, got, want
                         )
                     )
-    return PulseCountReport(t.kind, counts, rounds, tuple(notes))
+    return PulseCountReport(counts, rounds, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

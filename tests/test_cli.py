@@ -6,12 +6,16 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FULL_ADDER_DOC
-from levelpulse import cli, labeler
+from levelpulse import Permutation, build_topology, builtin_operation, cli, cycles, labeler
+from levelpulse.synthesizer import _hypercube_bounds, _tree_tables
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -437,11 +441,15 @@ def test_enumerate_builds_only_the_schemes_it_shows(options, monkeypatch, capsys
         ("enumerate", "fulladder4", "--show", "-1"),
         ("enumerate", "identity:11"),
         ("compile", "--qubits", "2", "swap:1,1"),
+        # an explicit count of 0 is refused, not replaced by an inferred one
+        ("compile", "--qubits", "0", "fulladder4"),
+        ("compile", "--qubits", "0", "identity:2"),
     ],
 )
 def test_hard_edges_exit_2_without_traceback(args):
     result = run_cli(*args)
     assert result.returncode == 2
+    assert result.stdout == ""
     assert "error:" in result.stderr.strip().splitlines()[-1]
     assert "Traceback" not in result.stderr
 
@@ -512,6 +520,13 @@ ROUND_TRIP_DIGESTS = {
 }
 
 
+def _table_text(mapping):
+    # the truth-table document of a bijection on 2^N basis states
+    n = len(mapping).bit_length() - 1
+    rows = ["{:0{n}b} -> {:0{n}b}\n".format(i, j, n=n) for i, j in enumerate(mapping)]
+    return "qubits: {}\n{}".format(n, "".join(rows))
+
+
 def _write_random_tables(rng, sizes):
     # two seeded random truth-table files per qubit count, in the cwd
     operations = []
@@ -520,8 +535,7 @@ def _write_random_tables(rng, sizes):
             mapping = list(range(1 << n))
             rng.shuffle(mapping)
             name = "random{}_{}.tt".format(n, k)
-            rows = ["{:0{n}b} -> {:0{n}b}\n".format(i, j, n=n) for i, j in enumerate(mapping)]
-            Path(name).write_text("qubits: {}\n{}".format(n, "".join(rows)))
+            Path(name).write_text(_table_text(mapping))
             operations.append((name,))
     return operations
 
@@ -572,3 +586,190 @@ def test_long_program_stdout_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     operations = _write_random_tables(random.Random(2026), (7, 8))
     assert _round_trip_digests(operations, tuple(LONG_PROGRAM_DIGESTS)) == LONG_PROGRAM_DIGESTS
+
+
+def _main(argv):
+    # cli.main in-process: (exit code, stdout, stderr); an escaping exception
+    # other than argparse's SystemExit fails the calling test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _compile(directory, topology, scheme, mapping):
+    # writes the table and compiles it into directory/out; returns the
+    # compile stdout and the verify argv for those files
+    table = os.path.join(directory, "table.tt")
+    out = os.path.join(directory, "out")
+    Path(table).write_text(_table_text(mapping))
+    code, report, _ = _main(
+        ["compile", "--topology", topology, "--labeling", scheme, "--output", out, table]
+    )
+    assert code == 0
+    verify = [
+        "verify", "--topology", topology, table,
+        "--program", os.path.join(out, "program.txt"),
+        "--labeling-table", os.path.join(out, "labeling.txt"),
+    ]
+    return report, verify
+
+
+# bijections at N = 1..4, and character edits (kind, position, character)
+_SMALL_TABLES = st.integers(1, 4).flatmap(lambda n: st.permutations(range(1 << n)))
+_CHAR_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("delete", "insert", "replace", "transpose")),
+        st.integers(0, 1 << 12),
+        st.sampled_from("01 :->#\nqubitspi_y+/239xé"),
+    ),
+    max_size=4,
+)
+
+
+def _edit(text, edits):
+    chars = list(text)
+    for kind, pos, char in edits:
+        if kind == "insert":
+            chars.insert(pos % (len(chars) + 1), char)
+        elif chars:
+            i = pos % len(chars)
+            if kind == "delete":
+                del chars[i]
+            elif kind == "replace":
+                chars[i] = char
+            else:
+                j = (i + 1) % len(chars)
+                chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    mapping=_SMALL_TABLES,
+    edits=_CHAR_EDITS,
+    command=st.sampled_from(("compile", "compare", "spectrum", "enumerate")),
+    topology=st.sampled_from(sorted(cli.TOPOLOGY_ALIASES)),
+)
+def test_mutated_tables_exit_0_or_2_without_traceback(mapping, edits, command, topology):
+    with tempfile.TemporaryDirectory() as directory:
+        table = os.path.join(directory, "table.tt")
+        Path(table).write_text(_edit(_table_text(mapping), edits))
+        code, _, err = _main([command, "--topology", topology, table])
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+def _edit_program(text, edit):
+    # parse-preserving edits of (round, a, b) pulse lines: drop one, repeat
+    # one as a new last round, or exchange the levels of two
+    pulses = [[int(line.split()[k]) for k in (0, 2, 3)] for line in text.splitlines()]
+    kind, i, j = edit
+    i %= len(pulses)
+    if kind == "drop":
+        del pulses[i]
+    elif kind == "repeat":
+        pulses.append([pulses[-1][0] + 1, *pulses[i][1:]])
+    else:
+        j %= len(pulses)
+        pulses[i][1:], pulses[j][1:] = pulses[j][1:], pulses[i][1:]
+    rounds = sorted({pulse[0] for pulse in pulses})
+    contiguous = rounds == list(range(1, len(rounds) + 1))
+    return "\n".join("{}  pi_y  {}  {}".format(*pulse) for pulse in pulses), contiguous
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    mapping=_SMALL_TABLES,
+    pair=st.sampled_from(SCHEME_PAIRS),
+    program_edit=st.one_of(
+        st.none(),
+        st.tuples(
+            st.sampled_from(("drop", "repeat", "exchange")),
+            st.integers(0, 1 << 12),
+            st.integers(0, 1 << 12),
+        ),
+    ),
+    target=st.sampled_from(("program.txt", "labeling.txt")),
+    edits=_CHAR_EDITS,
+)
+# the adder's ols program has four pulses in its first round, so dropping
+# one parses and must fail verification
+@example(
+    mapping=builtin_operation("fulladder4").mapping,
+    pair=("chain", "ols"),
+    program_edit=("drop", 0, 0),
+    target="program.txt",
+    edits=[],
+)
+def test_mutated_programs_exit_0_2_or_4_without_traceback(
+    mapping, pair, program_edit, target, edits
+):
+    with tempfile.TemporaryDirectory() as directory:
+        _, verify = _compile(directory, *pair, mapping)
+        out = os.path.join(directory, "out")
+        program = Path(out, "program.txt")
+        contiguous = False
+        if program_edit is not None and program.read_text().strip():
+            text, contiguous = _edit_program(program.read_text(), program_edit)
+            program.write_text(text)
+        Path(out, target).write_text(_edit(Path(out, target).read_text(), edits))
+        code, _, err = _main(verify)
+    assert code in (0, 2, 4)
+    assert "Traceback" not in err
+    if contiguous and program_edit[0] != "exchange" and not edits:
+        # one pulse more or fewer flips the parity of the product
+        assert code == 4
+
+
+def _inversions(sigma):
+    return sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1 :])
+
+
+@st.composite
+def _round_trip_cases(draw):
+    # chain cl and gray emit about 2^N (2^N - 1) / 4 pulses, so they stop at
+    # N = 8; test_baseline_n10_table covers their N = 10 case
+    topology, scheme = draw(st.sampled_from(SCHEME_PAIRS))
+    top = 8 if (topology, scheme) in (("chain", "cl"), ("chain", "gray")) else 10
+    mapping = list(range(1 << draw(st.integers(1, top))))
+    draw(st.randoms(use_true_random=False)).shuffle(mapping)
+    return topology, scheme, mapping
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=_round_trip_cases())
+# the routed pair at the largest size, beyond what the draws reach reliably
+@example(case=("hypercube", "cl", random.Random(10).sample(range(1 << 10), 1 << 10)))
+def test_compile_verify_round_trip_meets_bounds(case):
+    topology, scheme, mapping = case
+    with tempfile.TemporaryDirectory() as directory:
+        report, verify = _compile(directory, topology, scheme, mapping)
+        code, verdict, _ = _main(verify)
+        labeling_text = Path(directory, "out", "labeling.txt").read_text()
+    assert code == 0
+    assert "verdict: PASS" in verdict.splitlines()
+    fields = dict(line.split(": ", 1) for line in report.split("\n\n")[0].splitlines())
+    pulses, rounds = int(fields["pulses"]), int(fields["rounds"])
+    n = len(mapping).bit_length() - 1
+    t = build_topology(cli.TOPOLOGY_ALIASES[topology], n)
+    sigma = labeler.parse_labeling(labeling_text, t).induced(Permutation(n, tuple(mapping)))
+    orbits = cycles(sigma)
+    if scheme in ("ols", "pairswap", "parallel"):
+        assert pulses == len(mapping) - len(orbits)
+        assert scheme != "parallel" or rounds <= 2
+    elif topology == "chain":
+        assert pulses == _inversions(sigma)
+    else:
+        # the tree tests as the router takes them: up to the first failure
+        exact = []
+        for orbit in orbits:
+            exact.append(_tree_tables(orbit, t))
+            if exact[-1] is None:
+                break
+        bound_pulses, bound_rounds = _hypercube_bounds(sigma, orbits, exact)
+        assert pulses >= bound_pulses
+        assert rounds >= bound_rounds

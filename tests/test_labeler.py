@@ -38,7 +38,7 @@ def random_permutation(n_qubits, rng):
 
 def chain_levels(scheme, mset):
     # a placement scheme's labeling puts each chain on these levels
-    return tuple(scheme.labeling.level_of(s) for s in mset.chain)
+    return tuple(scheme.labeling.level_of(s) for s in mset)
 
 
 def chain4():
@@ -427,10 +427,20 @@ def test_labeling_table_chain_has_m_column():
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["0 00\n1 01\n2 10", "0 00\n0 01\n1 10\n2 11", "0 000\n1 001\n2 010\n3 011", "junk"],
+    "kind, text",
+    [
+        (SPIN_HALF_HYPERCUBE, "0 00\n1 01\n2 10"),
+        (SPIN_HALF_HYPERCUBE, "0 00\n0 01\n1 10\n2 11"),
+        (SPIN_HALF_HYPERCUBE, "0 000\n1 001\n2 010\n3 011"),
+        (SPIN_HALF_HYPERCUBE, "junk"),
+        # each topology's rows have its own shape, and a chain row's m is its level's
+        (SPIN_HALF_HYPERCUBE, "0 -3/2 00\n1 01\n2 10\n3 11"),
+        (QUADRUPOLAR_CHAIN, "0 00\n1 01\n2 10\n3 11"),
+        (QUADRUPOLAR_CHAIN, "0 +9/2 00\n1 +1/2 01\n2 -1/2 10\n3 -3/2 11"),
+        (QUADRUPOLAR_CHAIN, "0 +3/2 00\n1 junk 01\n2 -1/2 10\n3 -3/2 11"),
+    ],
 )
-def test_labeling_table_parse_errors(text):
-    t = build_topology(SPIN_HALF_HYPERCUBE, 2)
+def test_labeling_table_parse_errors(kind, text):
+    t = build_topology(kind, 2)
     with pytest.raises(ValueError):
         parse_labeling(text, t)

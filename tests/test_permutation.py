@@ -64,7 +64,7 @@ def test_parse_two_inputs_same_output():
 
 
 def chains_of(p):
-    return [s.chain for s in maximal_sets(p).sets if len(s) > 1]
+    return [s for s in maximal_sets(p).sets if len(s) > 1]
 
 
 def kets(*labels):
@@ -165,12 +165,12 @@ def test_decomposition_properties_random():
         for _ in range(334):
             p = random_permutation(n, rng)
             d = maximal_sets(p)
-            covered = [s for ms in d.sets for s in ms.chain]
+            covered = [s for ms in d.sets for s in ms]
             assert sorted(covered) == list(range(p.size))
             for ms in d.sets:
-                for a, b in zip(ms.chain, ms.chain[1:]):
+                for a, b in zip(ms, ms[1:]):
                     assert p(a) == b
-                assert p(ms.chain[-1]) == ms.chain[0]
+                assert p(ms[-1]) == ms[0]
             assert min_pulse_count(d) == p.size - len(d.sets)
             assert compose(p, p.inverse()).is_identity()
 

@@ -833,12 +833,6 @@ def test_each_hypercube_candidate_realizes_sigma(n, seed):
     assert _hypercube_program(p.mapping, t) in candidates
 
 
-def test_one_qubit_skips_bit_reversal_starts():
-    # on one qubit the bit reversal is the identity, so only four starts run
-    t = build_topology(SPIN_HALF_HYPERCUBE, 1)
-    assert list(_hypercube_candidates((1, 0), t)) == [[(0, 1)]] * 4
-
-
 def test_all_exact_tables_keep_shallowest_trees():
     # an all-exact table takes each orbit's shallowest read-out, so it never
     # gets more rounds than the (highest, highest) trees give, and it gets
